@@ -10,6 +10,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use grepair_bench::serving::mixed_batch;
 use grepair_core::{compress, GRePairConfig};
 use grepair_hypergraph::Hypergraph;
+use grepair_server::WorkerPool;
 use grepair_store::{write_container, GraphStore, Query};
 
 /// Long repetitive path: |G| = O(log |g|), the best case for grammar-side
@@ -99,9 +100,10 @@ fn bench_contention(c: &mut Criterion) {
     // steady serving state, not first-touch compilation.
     assert!(store.query_batch(&batch).iter().all(|a| a.is_ok()));
     for threads in [1usize, 2, 4, 8] {
+        let pool = WorkerPool::new(threads);
         group.bench_function(format!("10k_mixed_threads_{threads}"), |b| {
             b.iter(|| {
-                let answers = store.query_batch_parallel(&batch, threads);
+                let answers = store.query_batch_on(&batch, &pool);
                 assert!(answers.iter().all(|a| a.is_ok()));
                 answers.len()
             })

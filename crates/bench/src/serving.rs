@@ -11,6 +11,7 @@ use std::time::Instant;
 
 use grepair_core::{compress, GRePairConfig};
 use grepair_hypergraph::Hypergraph;
+use grepair_server::WorkerPool;
 use grepair_store::{write_container, GraphStore, Query};
 
 use crate::Scale;
@@ -86,7 +87,8 @@ pub struct StoreBenchReport {
     pub batch_sequential_ns: f64,
     /// The same 10k queries one `query` call at a time, ns.
     pub batch_individual_ns: f64,
-    /// `(threads, whole-batch ns)` through `query_batch_parallel`.
+    /// `(threads, whole-batch ns)` through `query_batch_on` over a
+    /// resident `WorkerPool` of that many threads.
     pub thread_scaling: Vec<(usize, f64)>,
     /// Per-backend size + query latency over one shared unlabeled graph.
     pub backends: Vec<BackendBenchRow>,
@@ -853,11 +855,10 @@ pub fn measure_store_serving(scale: Scale) -> StoreBenchReport {
     let thread_scaling = SCALING_THREADS
         .iter()
         .map(|&threads| {
+            // Built outside the timed region, as a server holds its pool.
+            let pool = WorkerPool::new(threads);
             let ns = best_of(3, || {
-                assert!(store
-                    .query_batch_parallel(&batch, threads)
-                    .iter()
-                    .all(|a| a.is_ok()));
+                assert!(store.query_batch_on(&batch, &pool).iter().all(|a| a.is_ok()));
             });
             (threads, ns)
         })

@@ -13,7 +13,7 @@ use grepair_hypergraph::{EdgeLabel, Hypergraph};
 use grepair_store::backend::{resolve_codec, split_any_container, GREPAIR};
 use grepair_store::{
     materialize, write_container, EdgePatch, GraphStore, GrepairError, StoreRegistry,
-    VersionedStore,
+    VersionedStore, DEFAULT_NAMESPACE,
 };
 
 /// `grepair stats <graph>`.
@@ -365,11 +365,11 @@ pub fn store_cmd(args: &[String]) -> Result<(), String> {
             if skipped > 0 {
                 eprintln!("warning: QUIT left {skipped} request lines unanswered");
             }
+            let stats = registry.stats_for(DEFAULT_NAMESPACE).map_err(|e| e.to_string())?;
             eprintln!(
-                "served {} queries ({} errors) from {g2g}: {}",
+                "served {} queries ({} errors) from {g2g}: {stats}",
                 summary.served,
                 summary.errors,
-                registry.stats()
             );
             Ok(())
         }

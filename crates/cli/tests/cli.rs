@@ -7,11 +7,21 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-/// Scratch directory unique to this test process.
+use grepair_util::tmp::TempPath;
+
+thread_local! {
+    /// This test's scratch directory. The test harness runs every test on
+    /// its own thread, so tests never share (or rewrite) each other's
+    /// fixtures, and the directory goes when the test's thread exits.
+    static SCRATCH: TempPath = TempPath::new("grepair_cli", "");
+}
+
+/// A path inside this test's scratch directory.
 fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("grepair_cli_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+    SCRATCH.with(|dir| {
+        std::fs::create_dir_all(dir).unwrap();
+        dir.join(name)
+    })
 }
 
 fn grepair(args: &[&str]) -> Output {

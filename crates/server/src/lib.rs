@@ -23,7 +23,7 @@
 //!   [`GraphStore::query_batch_on`](grepair_store::GraphStore::query_batch_on)
 //!   as a [`grepair_store::BatchExecutor`], so a connection's request batch
 //!   fans out across reused threads instead of paying a per-batch
-//!   `thread::spawn` (the PR-3 spawn-cost note).
+//!   `thread::spawn`.
 //! * **Hot reload** — all sessions resolve stores through one
 //!   [`grepair_store::StoreRegistry`]; the `RELOAD` admin command (or
 //!   `SIGHUP` for the default namespace) swaps in a freshly loaded

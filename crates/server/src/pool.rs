@@ -1,14 +1,13 @@
-//! A fixed-size worker pool that runs *borrowed* batch jobs — the reusable
-//! replacement for per-batch `thread::scope` spawns.
+//! A fixed-size worker pool that runs *borrowed* batch jobs — the
+//! executor behind every fanned-out batch (`GraphStore::query_batch_on`).
 //!
-//! `GraphStore::query_batch_parallel` spawns fresh threads per batch, which
-//! is fine when one batch holds 10k queries and disastrous when a socket
-//! connection hands over 4 lines at a time (the spawn cost dwarfs the
-//! queries). This pool spawns its threads **once**; every
-//! [`WorkerPool::scope`] call ships the batch's jobs through a channel to
-//! the resident workers and blocks until all of them finished, which is
-//! what lets the jobs borrow the caller's stack (the batch slice, the
-//! shared batch context, the answer slots).
+//! Spawning fresh threads per batch is fine when one batch holds 10k
+//! queries and disastrous when a socket connection hands over 4 lines at a
+//! time (the spawn cost dwarfs the queries). This pool spawns its threads
+//! **once**; every [`WorkerPool::scope`] call ships the batch's jobs
+//! through a channel to the resident workers and blocks until all of them
+//! finished, which is what lets the jobs borrow the caller's stack (the
+//! batch slice, the shared batch context, the answer slots).
 //!
 //! The lifetime laundering in `scope` is the only `unsafe` in the serving
 //! stack; its soundness argument is spelled out at the call site.

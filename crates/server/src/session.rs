@@ -796,6 +796,7 @@ mod tests {
     use grepair_core::{compress, GRePairConfig};
     use grepair_hypergraph::Hypergraph;
     use grepair_store::{write_container, GraphStore};
+    use grepair_util::tmp::TempPath;
 
     fn g2g(reps: u32) -> Vec<u8> {
         let (g, _) = Hypergraph::from_simple_edges(
@@ -882,8 +883,7 @@ mod tests {
 
     #[test]
     fn use_switches_and_prefixes_override_per_line() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("grepair_session_use_{}.g2g", std::process::id()));
+        let path = TempPath::new("grepair_session_use", ".g2g");
         std::fs::write(&path, g2g(16)).unwrap();
         let registry = registry(8);
         let input = format!(
@@ -915,13 +915,11 @@ mod tests {
         assert_eq!(lines[9], "detached big");
         // The session still points at the detached namespace: error, serve on.
         assert!(lines[10].starts_with("error: bad request: unknown namespace"), "{out}");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn mixed_namespace_batches_reply_in_input_order() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("grepair_session_mixed_{}.g2g", std::process::id()));
+        let path = TempPath::new("grepair_session_mixed", ".g2g");
         std::fs::write(&path, g2g(16)).unwrap();
         let registry = registry(8);
         registry.attach("big", path.to_str().unwrap()).unwrap();
@@ -939,7 +937,6 @@ mod tests {
         assert_eq!(lines[4], "true");
         assert_eq!(summary.served, 5);
         assert_eq!(summary.errors, 1);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1000,8 +997,7 @@ mod tests {
 
     #[test]
     fn reload_swaps_generation_mid_session() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("grepair_session_{}.g2g", std::process::id()));
+        let path = TempPath::new("grepair_session", ".g2g");
         std::fs::write(&path, g2g(16)).unwrap();
         let registry = registry(8);
         let pool = WorkerPool::new(2);
@@ -1032,15 +1028,13 @@ mod tests {
         assert!(lines[4].contains("reload_failures=1"), "{text}");
         assert!(lines[4].contains("last_error="), "{text}");
         assert_eq!(summary.reloads, 1);
-        assert_eq!(registry.generation(), 2);
-        let _ = std::fs::remove_file(&path);
+        assert_eq!(registry.generation_of(DEFAULT_NAMESPACE).unwrap(), 2);
     }
 
     #[test]
     fn reload_acts_on_the_session_namespace() {
-        let dir = std::env::temp_dir();
-        let a = dir.join(format!("grepair_session_nsa_{}.g2g", std::process::id()));
-        let b = dir.join(format!("grepair_session_nsb_{}.g2g", std::process::id()));
+        let a = TempPath::new("grepair_session_nsa", ".g2g");
+        let b = TempPath::new("grepair_session_nsb", ".g2g");
         std::fs::write(&a, g2g(4)).unwrap();
         std::fs::write(&b, g2g(12)).unwrap();
         let registry = registry(8);
@@ -1058,10 +1052,8 @@ mod tests {
         );
         assert!(lines[3].starts_with("namespaces=2 resident=2 "), "{out}");
         assert_eq!(summary.reloads, 1);
-        assert_eq!(registry.generation(), 1);
+        assert_eq!(registry.generation_of(DEFAULT_NAMESPACE).unwrap(), 1);
         assert_eq!(registry.generation_of("a").unwrap(), 2);
-        let _ = std::fs::remove_file(&a);
-        let _ = std::fs::remove_file(&b);
     }
 
     #[test]
@@ -1240,7 +1232,7 @@ mod tests {
         let summary = serve_session(&registry, &pool, &mut reader, &mut out, &opts).unwrap();
         assert_eq!(String::from_utf8(out).unwrap(), expected);
         assert_eq!(summary.served, 192);
-        let stats = registry.stats();
+        let stats = registry.stats_for(DEFAULT_NAMESPACE).unwrap();
         assert!(stats.parallel_batches >= 1, "{stats}");
     }
 }

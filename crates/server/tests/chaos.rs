@@ -23,6 +23,7 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 
 use common::{g2g, LineClient, TestServer};
 use grepair_util::fail;
+use grepair_util::tmp::TempPath;
 
 #[cfg(target_os = "linux")]
 use grepair_server::{IoMode, ServerConfig};
@@ -103,8 +104,7 @@ fn seeded_socket_chaos_no_torn_replies_then_byte_identical_recovery() {
     let server = TestServer::start(8, None);
     // Multi-tenant serving: a second namespace attached cold, so the
     // chaos schedules hit real cold-open (and breaker) paths mid-round.
-    let tenant_path = std::env::temp_dir()
-        .join(format!("grepair_chaos_srv_{}.g2g", std::process::id()));
+    let tenant_path = TempPath::new("grepair_chaos_srv", ".g2g");
     std::fs::write(&tenant_path, g2g(16)).unwrap();
     server.registry.attach_cold("t1", tenant_path.to_str().unwrap()).unwrap();
     let script = script(16);
@@ -193,7 +193,6 @@ fn seeded_socket_chaos_no_torn_replies_then_byte_identical_recovery() {
         assert_eq!(recovered, clean, "round {round}: recovery not byte-identical");
     }
     fail::clear_all();
-    let _ = std::fs::remove_file(&tenant_path);
 }
 
 /// The epoll twin of the seeded chaos run above: same degradation
@@ -216,8 +215,7 @@ fn seeded_epoll_chaos_no_torn_replies_then_byte_identical_recovery() {
         None,
         ServerConfig { io: IoMode::Epoll, ..ServerConfig::default() },
     );
-    let tenant_path = std::env::temp_dir()
-        .join(format!("grepair_chaos_epoll_{}.g2g", std::process::id()));
+    let tenant_path = TempPath::new("grepair_chaos_epoll", ".g2g");
     std::fs::write(&tenant_path, g2g(16)).unwrap();
     server.registry.attach_cold("t1", tenant_path.to_str().unwrap()).unwrap();
     let script = script(16);
@@ -287,7 +285,6 @@ fn seeded_epoll_chaos_no_torn_replies_then_byte_identical_recovery() {
         assert_eq!(recovered, clean, "epoll round {round}: recovery not byte-identical");
     }
     fail::clear_all();
-    let _ = std::fs::remove_file(&tenant_path);
 }
 
 /// Per-connection containment, pinned deterministically: the first

@@ -9,6 +9,7 @@ mod common;
 use common::{g2g, send_and_drain, LineClient, TestServer};
 use grepair_hypergraph::Hypergraph;
 use grepair_store::{error_reply, parse_query, GraphStore};
+use grepair_util::tmp::TempPath;
 
 /// An unlabeled `n`-node path, k²-encoded (ids preserved — no grammar
 /// renumbering).
@@ -45,12 +46,10 @@ const WORKLOAD: &[&str] = &[
 
 #[test]
 fn grepair_and_k2_tenants_share_one_socket_and_match_serve_file() {
-    let dir = std::env::temp_dir();
-    let pid = std::process::id();
     let gram_bytes = g2g(6); // 13-node grammar-backed path
     let k2_bytes = k2_file(9);
-    let gram_path = dir.join(format!("grepair_mt_gram_{pid}.g2g"));
-    let k2_path = dir.join(format!("grepair_mt_k2_{pid}.g2g"));
+    let gram_path = TempPath::new("grepair_mt_gram", ".g2g");
+    let k2_path = TempPath::new("grepair_mt_k2", ".g2g");
     std::fs::write(&gram_path, &gram_bytes).unwrap();
     std::fs::write(&k2_path, &k2_bytes).unwrap();
 
@@ -113,17 +112,12 @@ fn grepair_and_k2_tenants_share_one_socket_and_match_serve_file() {
         }
     }
     hammer.join().unwrap();
-
-    let _ = std::fs::remove_file(&gram_path);
-    let _ = std::fs::remove_file(&k2_path);
 }
 
 #[test]
 fn reload_of_one_namespace_never_bumps_the_other() {
-    let dir = std::env::temp_dir();
-    let pid = std::process::id();
-    let a_path = dir.join(format!("grepair_mt_iso_a_{pid}.g2g"));
-    let b_path = dir.join(format!("grepair_mt_iso_b_{pid}.g2g"));
+    let a_path = TempPath::new("grepair_mt_iso_a", ".g2g");
+    let b_path = TempPath::new("grepair_mt_iso_b", ".g2g");
     std::fs::write(&a_path, g2g(4)).unwrap();
     std::fs::write(&b_path, k2_file(7)).unwrap();
 
@@ -151,20 +145,15 @@ fn reload_of_one_namespace_never_bumps_the_other() {
     }
     // And the default namespace never moved either.
     assert_eq!(server.registry.generation_of("default").unwrap(), 1);
-
-    let _ = std::fs::remove_file(&a_path);
-    let _ = std::fs::remove_file(&b_path);
 }
 
 #[test]
 fn eviction_under_budget_is_invisible_to_clients() {
-    let dir = std::env::temp_dir();
-    let pid = std::process::id();
     let mut paths = Vec::new();
     let mut twins = Vec::new();
-    for (i, reps) in [4u32, 6, 8].iter().enumerate() {
-        let bytes = g2g(*reps);
-        let path = dir.join(format!("grepair_mt_evict_{pid}_{i}.g2g"));
+    for reps in [4u32, 6, 8] {
+        let bytes = g2g(reps);
+        let path = TempPath::new("grepair_mt_evict", ".g2g");
         std::fs::write(&path, &bytes).unwrap();
         twins.push(GraphStore::from_bytes(&bytes).unwrap());
         paths.push(path);
@@ -197,8 +186,4 @@ fn eviction_under_budget_is_invisible_to_clients() {
     let stats = server.registry.aggregate_stats();
     assert!(stats.evictions > 0, "budget never forced an eviction: {stats}");
     assert!(stats.cold_opens > 0, "evicted stores must have reopened: {stats}");
-
-    for path in &paths {
-        let _ = std::fs::remove_file(path);
-    }
 }

@@ -21,6 +21,7 @@ use std::time::Duration;
 
 use common::{g2g, send_and_drain, TestServer};
 use grepair_server::{IoMode, ServerConfig};
+use grepair_util::tmp::TempPath;
 use proptest::prelude::*;
 
 /// Pause between chunks: long enough that the reactor's level-triggered
@@ -63,14 +64,14 @@ fn replies_chunked(addr: SocketAddr, input: &[u8], chunks: &[usize]) -> String {
 struct Twins {
     threads: TestServer,
     epoll: TestServer,
-    tenant_path: std::path::PathBuf,
+    /// The tenant container; removed when the twins drop.
+    _tenant: TempPath,
 }
 
 impl Twins {
     fn start() -> Self {
-        let tenant_path = std::env::temp_dir()
-            .join(format!("grepair_frames_t1_{}.g2g", std::process::id()));
-        std::fs::write(&tenant_path, g2g(4)).expect("write tenant container");
+        let tenant = TempPath::new("grepair_frames_t1", ".g2g");
+        std::fs::write(&tenant, g2g(4)).expect("write tenant container");
         let threads = TestServer::start_with(8, None, ServerConfig::default());
         let epoll = TestServer::start_with(
             8,
@@ -80,10 +81,10 @@ impl Twins {
         for server in [&threads, &epoll] {
             server
                 .registry
-                .attach_cold("t1", tenant_path.to_str().expect("utf8 path"))
+                .attach_cold("t1", tenant.as_str())
                 .expect("attach tenant");
         }
-        Self { threads, epoll, tenant_path }
+        Self { threads, epoll, _tenant: tenant }
     }
 
     /// Assert the epoll server answers `input` under `chunks` exactly as
@@ -97,12 +98,6 @@ impl Twins {
             "epoll diverged from thread mode under schedule {chunks:?} for {:?}",
             String::from_utf8_lossy(&input[..input.len().min(120)]),
         );
-    }
-}
-
-impl Drop for Twins {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.tenant_path);
     }
 }
 

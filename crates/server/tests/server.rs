@@ -6,7 +6,8 @@
 mod common;
 
 use common::{g2g, send_and_drain, store, LineClient, TestServer};
-use grepair_store::{error_reply, parse_query, GraphStore, Query};
+use grepair_store::{error_reply, parse_query, GraphStore, Query, DEFAULT_NAMESPACE};
+use grepair_util::tmp::TempPath;
 
 /// A query file exercising every query class, every error shape, comments,
 /// and blank lines — the serve-file acceptance input.
@@ -52,7 +53,7 @@ fn serve_file_reference(store: &GraphStore, file: &str) -> String {
 #[test]
 fn socket_answers_are_byte_identical_to_serve_file() {
     let server = TestServer::start(16, None);
-    let n = server.registry.current().total_nodes();
+    let n = server.registry.store(DEFAULT_NAMESPACE).unwrap().total_nodes();
     let file = mixed_query_file(n);
     let expected = serve_file_reference(&store(16), &file);
     let got = send_and_drain(server.addr, file.as_bytes());
@@ -64,8 +65,7 @@ fn socket_answers_are_byte_identical_to_serve_file() {
 
 #[test]
 fn reload_mid_stream_bumps_generation_without_dropping_anything() {
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("grepair_server_it_{}.g2g", std::process::id()));
+    let path = TempPath::new("grepair_server_it", ".g2g");
     std::fs::write(&path, g2g(32)).unwrap(); // 65-node replacement store
     let server = TestServer::start(16, None); // 33-node initial store
     let mut client = LineClient::new(server.connect());
@@ -95,10 +95,9 @@ fn reload_mid_stream_bumps_generation_without_dropping_anything() {
     // The same connection is still alive, and STATS echoes the bump.
     let stats = client.roundtrip("STATS default");
     assert!(stats.starts_with("generation=2 "), "{stats}");
-    assert_eq!(server.registry.generation(), 2);
+    assert_eq!(server.registry.generation_of(DEFAULT_NAMESPACE).unwrap(), 2);
     assert_eq!(client.roundtrip("PING"), "pong");
     assert_eq!(client.roundtrip("QUIT"), "bye");
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -108,11 +107,10 @@ fn old_generation_arc_survives_a_swap_under_load() {
     // (they were computed on whichever generation each batch snapshotted —
     // both generations here serve identical graphs, so answers are
     // identical; what's being tested is that nothing tears or drops).
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("grepair_server_swap_{}.g2g", std::process::id()));
+    let path = TempPath::new("grepair_server_swap", ".g2g");
     std::fs::write(&path, g2g(16)).unwrap(); // same graph, new generation
     let server = TestServer::start(16, None);
-    let n = server.registry.current().total_nodes();
+    let n = server.registry.store(DEFAULT_NAMESPACE).unwrap().total_nodes();
 
     let mut input = String::new();
     let mut expected = String::new();
@@ -129,13 +127,13 @@ fn old_generation_arc_survives_a_swap_under_load() {
         assert_eq!(reply, format!("reloaded generation={} nodes={n}", round + 2));
     }
     assert_eq!(streamer.join().unwrap(), expected);
-    assert_eq!(server.registry.generation(), 6);
+    assert_eq!(server.registry.generation_of(DEFAULT_NAMESPACE).unwrap(), 6);
 }
 
 #[test]
 fn many_concurrent_connections_share_one_pool() {
     let server = TestServer::start(16, None);
-    let n = server.registry.current().total_nodes();
+    let n = server.registry.store(DEFAULT_NAMESPACE).unwrap().total_nodes();
     let file = mixed_query_file(n);
     let expected = serve_file_reference(&store(16), &file);
     std::thread::scope(|scope| {
@@ -228,8 +226,7 @@ fn reload_swaps_in_a_different_backend_mid_session() {
     // renumbering), so the answers are predictable.
     let g = Hypergraph::from_simple_edges(9, (0..8u32).map(|i| (i, 0u32, i + 1))).0;
     let file = grepair_store::codec_for("k2").unwrap().encode(&g).unwrap();
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("grepair_server_k2_{}.g2g", std::process::id()));
+    let path = TempPath::new("grepair_server_k2", ".g2g");
     std::fs::write(&path, file).unwrap();
 
     let server = TestServer::start(16, None); // grammar-backed, 33 nodes
@@ -260,13 +257,11 @@ fn reload_swaps_in_a_different_backend_mid_session() {
     assert!(stats.contains("backend=k2"), "{stats}");
     assert!(stats.ends_with("open_failures=0 reload_failures=0 breaker_trips=0 breaker_open=false"), "{stats}");
     assert_eq!(client.roundtrip("QUIT"), "bye");
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn bare_reload_uses_the_configured_path_and_errors_without_one() {
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("grepair_server_bare_{}.g2g", std::process::id()));
+    let path = TempPath::new("grepair_server_bare", ".g2g");
     std::fs::write(&path, g2g(8)).unwrap();
 
     // No default path configured: bare RELOAD is a clean error.
@@ -281,7 +276,6 @@ fn bare_reload_uses_the_configured_path_and_errors_without_one() {
     let server = TestServer::start(8, Some(path.display().to_string()));
     let mut client = LineClient::new(server.connect());
     assert_eq!(client.roundtrip("RELOAD"), "reloaded generation=2 nodes=17");
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

@@ -40,8 +40,9 @@ use grepair_k2tree::K2Tree;
 use grepair_queries::{Nfa, QueryError};
 use grepair_util::FxHashSet;
 
-use crate::query::compile_pattern;
-use crate::store::{parse_container, write_container};
+use crate::engine::Scratch;
+use crate::query::{compile_pattern, Query, QueryAnswer};
+use crate::store::{parse_container, write_container, BatchContext};
 use crate::GrepairError;
 
 /// Magic of the tagged (multi-backend) container layout.
@@ -114,6 +115,51 @@ pub trait QueryEngine: Send + Sync + std::fmt::Debug {
 
     /// `(min, max)` undirected degree, `None` for the empty graph.
     fn degree_extrema(&self) -> Option<(u64, u64)>;
+
+    /// Answer `q` inside a batch: `ctx` is the batch's shared context
+    /// (empty for a single query) and `scratch` the answering worker's
+    /// buffers. Every store query lands here, after the store's duplicate
+    /// memo; `components`/`degrees` are answered from the store's own memo
+    /// first. The default answers through the methods above. An engine
+    /// with work worth sharing across a batch overrides it — the grammar
+    /// engine shares reach and RPQ source closures and `locate` descents
+    /// (DESIGN.md §5).
+    fn answer<'q>(
+        &self,
+        q: &'q Query,
+        _ctx: &BatchContext<'q>,
+        _scratch: &mut Scratch,
+    ) -> Result<QueryAnswer, GrepairError> {
+        Ok(match q {
+            Query::OutNeighbors(v) => QueryAnswer::Nodes(self.out_neighbors(*v)?),
+            Query::InNeighbors(v) => QueryAnswer::Nodes(self.in_neighbors(*v)?),
+            Query::Neighbors(v) => QueryAnswer::Nodes(self.neighbors(*v)?),
+            Query::Reach { s, t } => QueryAnswer::Bool(self.reachable(*s, *t)?),
+            Query::Rpq { s, t, pattern } => QueryAnswer::Bool(self.rpq(pattern, *s, *t)?),
+            Query::Components => QueryAnswer::Count(self.components()),
+            Query::DegreeExtrema => QueryAnswer::Extrema(self.degree_extrema()),
+        })
+    }
+
+    /// Hit/miss totals of the engine's store-wide caches, reported in
+    /// [`crate::StoreStats`]; all zero for an engine without caches.
+    fn cache_stats(&self) -> CacheStats {
+        CacheStats::default()
+    }
+}
+
+/// A snapshot of an engine's store-wide cache counters (see
+/// [`QueryEngine::cache_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Memoized rule-expansion lookups that hit.
+    pub expansion_hits: u64,
+    /// Memoized rule-expansion lookups that missed (and computed).
+    pub expansion_misses: u64,
+    /// RPQ plan-cache hits.
+    pub plan_hits: u64,
+    /// RPQ plan-cache misses.
+    pub plan_misses: u64,
 }
 
 /// A named compression backend: [`Hypergraph`] → container bytes → live

@@ -1,14 +1,12 @@
 //! The gRePair backend's query engine: grammar navigation with memoized
 //! rule expansions and compiled RPQ plans.
 //!
-//! This is the machinery `GraphStore` originally owned directly; it now
-//! lives behind the [`QueryEngine`] trait so the store can serve other
-//! compressed representations (k²-tree, list-merging, virtual-node) through
-//! the same surface. The grammar engine stays special in one way: the
-//! store's batch amortization (shared reach closures, shared RPQ product
-//! closures, the per-batch locate cache — DESIGN.md §5) reaches into its
-//! fields directly, because those levers are grammar-shaped and have no
-//! analog in the adjacency-backed engines.
+//! The grammar engine is one [`QueryEngine`] among the backends; the store
+//! serves it through the same dispatch as every other. What makes it
+//! special lives behind the trait: its [`QueryEngine::answer`] override
+//! shares reach and RPQ source closures and `locate` descents across a
+//! batch (DESIGN.md §5), levers that are grammar-shaped and have no analog
+//! in the adjacency-backed engines.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -18,41 +16,42 @@ use grepair_hypergraph::{EdgeId, EdgeLabel, NodeId};
 use grepair_queries::neighbors::Direction;
 use grepair_queries::{speedup, GRepr, GrammarIndex, QueryError, ReachIndex, RpqIndex};
 
-use crate::backend::QueryEngine;
+use crate::backend::{CacheStats, QueryEngine};
 use crate::cache::ShardedMap;
-use crate::query::compile_pattern;
+use crate::query::{compile_pattern, Query, QueryAnswer};
+use crate::store::BatchContext;
 use crate::GrepairError;
 
-/// One memoized rule expansion: the neighbors one `(nt, ext position,
-/// direction)` combination contributes, as rule-relative `(path, node)`
-/// pairs (see [`GrammarIndex::rule_expansion`]).
-pub(crate) type Expansion = Arc<Vec<(Vec<EdgeId>, NodeId)>>;
-/// A memoized *labeled* rule expansion: the `(path, terminal label, node)`
-/// triples one `(nt, ext position, direction)` combination contributes.
-/// Same shape as [`Expansion`] but keeping the terminal label each
-/// contributed neighbor was reached over — the primitive the version
-/// overlay corrects (DESIGN.md §12).
-pub(crate) type LabeledExpansion = Arc<Vec<(Vec<EdgeId>, u32, NodeId)>>;
+/// One memoized rule expansion: the `(path, terminal label, node)` rows one
+/// `(nt, ext position, direction)` combination contributes, with `path`
+/// rule-relative (see [`GrammarIndex::rule_expansion`]). Neighbor queries
+/// read the nodes; `out_edges`/`in_edges`, the primitive the version
+/// overlay corrects (DESIGN.md §12), read the labels too. A row is as
+/// large as it would be without the label: `NodeId` and `EdgeId` are
+/// `u32`, so `(Vec<u32>, u32)` pads to the same 32 bytes.
+type Expansion = Arc<Vec<(Vec<EdgeId>, u32, NodeId)>>;
 /// Cache key: `(nonterminal, external position, direction)`.
 type ExpansionKey = (u32, u32, Direction);
+/// Both directions, for `neighbors`.
+const BOTH: [Direction; 2] = [Direction::Out, Direction::In];
 
 /// Per-worker scratch buffers, reused across the queries one worker
-/// answers so the neighbor hot path does not reallocate its derivation-path
-/// buffer per query. Never shared between threads.
-#[derive(Default)]
-pub(crate) struct Scratch {
+/// answers so the hot path does not reallocate per query. The store hands
+/// one to each [`QueryEngine::answer`] call; never shared between threads.
+#[derive(Debug, Default)]
+pub struct Scratch {
     /// Absolute derivation path assembled while expanding nonterminal edges.
-    pub(crate) full: Vec<EdgeId>,
+    full: Vec<EdgeId>,
 }
 
 /// Hit/miss counters for the engine's two store-wide caches. Relaxed
 /// atomics: exact totals, no lock (see `StoreStats`).
 #[derive(Debug, Default)]
-pub(crate) struct CacheCounters {
-    pub(crate) expansion_hits: AtomicU64,
-    pub(crate) expansion_misses: AtomicU64,
-    pub(crate) plan_hits: AtomicU64,
-    pub(crate) plan_misses: AtomicU64,
+struct CacheCounters {
+    expansion_hits: AtomicU64,
+    expansion_misses: AtomicU64,
+    plan_hits: AtomicU64,
+    plan_misses: AtomicU64,
 }
 
 /// The grammar-backed [`QueryEngine`]: G-representation navigation
@@ -61,100 +60,119 @@ pub(crate) struct CacheCounters {
 /// cheap.
 #[derive(Debug)]
 pub struct GrammarEngine {
-    pub(crate) grammar: Arc<Grammar>,
+    grammar: Arc<Grammar>,
     /// G-representation navigation (Prop. 4), built eagerly.
-    pub(crate) index: GrammarIndex<Arc<Grammar>>,
+    index: GrammarIndex<Arc<Grammar>>,
     /// Skeleton-based reachability (Thm. 6), built eagerly.
-    pub(crate) reach: ReachIndex<Arc<Grammar>>,
+    reach: ReachIndex<Arc<Grammar>>,
     /// Memoized rule expansions — hot on hub nodes, whose incident
-    /// nonterminal edges repeat few distinct labels.
+    /// nonterminal edges repeat few distinct labels. One cache serves
+    /// neighbor and labeled-edge queries alike.
     expansions: ShardedMap<ExpansionKey, Expansion>,
-    /// Labeled variant of `expansions`, feeding the `out_edges`/`in_edges`
-    /// primitive. Kept separate so the (hotter) unlabeled neighbor path
-    /// stays label-free.
-    labeled_expansions: ShardedMap<ExpansionKey, LabeledExpansion>,
     /// Compiled RPQ plans per canonical pattern text.
     plans: ShardedMap<String, Arc<RpqIndex<Arc<Grammar>>>>,
-    pub(crate) cache_counters: CacheCounters,
+    cache_counters: CacheCounters,
+}
+
+/// The other end of a rank-2 terminal edge with attachment `att` that
+/// leaves (`Out`) or enters (`In`) `v`; `None` for any other edge.
+fn terminal_neighbor(att: &[NodeId], v: NodeId, dir: Direction) -> Option<NodeId> {
+    match (dir, att) {
+        (Direction::Out, &[s, t]) if s == v => Some(t),
+        (Direction::In, &[s, t]) if t == v => Some(s),
+        _ => None,
+    }
 }
 
 impl GrammarEngine {
-    /// Build the engine from an already-validated grammar (the caller —
-    /// [`crate::GraphStore::from_grammar`] — revalidates first).
+    /// Build the engine from an already-validated grammar (the callers —
+    /// [`crate::GraphStore::from_grammar`] and the grepair codec's `load`
+    /// — validate first).
     pub(crate) fn new(grammar: Arc<Grammar>) -> Self {
         Self {
             index: GrammarIndex::new(grammar.clone()),
             reach: ReachIndex::new(grammar.clone()),
             grammar,
             expansions: ShardedMap::default(),
-            labeled_expansions: ShardedMap::default(),
             plans: ShardedMap::default(),
             cache_counters: CacheCounters::default(),
         }
     }
 
-    /// The grammar being served.
-    pub fn grammar(&self) -> &Grammar {
-        &self.grammar
-    }
-
-    /// Neighbor collection with memoized nonterminal descent. The context
-    /// scan mirrors `GrammarIndex::neighbors`; the descent into each
-    /// nonterminal edge is replaced by a cache of rule-relative expansions
-    /// (see [`GrammarIndex::rule_expansion`] for the uncached reference).
-    /// The caller resolves `repr` (possibly through the per-batch locate
-    /// cache); the derivation-path buffer comes from `scratch`.
-    pub(crate) fn collect_neighbors(
+    /// The context scan behind every neighbor and labeled-edge answer:
+    /// each terminal edge at `repr`'s node in direction `dir` — in the
+    /// node's own context or inside a nonterminal edge's memoized
+    /// expansion — reported as `(label, global neighbor id)`. It mirrors
+    /// `GrammarIndex::neighbors`, with the descent into each nonterminal
+    /// edge replaced by the expansion cache. The caller resolves `repr`
+    /// (possibly through the per-batch locate cache); the derivation-path
+    /// buffer comes from `scratch`.
+    fn scan(
         &self,
         repr: &GRepr,
         dir: Direction,
         scratch: &mut Scratch,
-    ) -> Result<Vec<u64>, QueryError> {
+        mut emit: impl FnMut(u32, u64),
+    ) {
         let ctx_graph = self.index.context(&repr.path);
-        // Fast path: isolated (rank-0) nodes have no neighbors — return
-        // before touching the expansion machinery.
-        if ctx_graph.incident(repr.node).next().is_none() {
-            return Ok(Vec::new());
-        }
-        let mut out = Vec::new();
-        let full: &mut Vec<EdgeId> = &mut scratch.full;
+        let full = &mut scratch.full;
         full.clear();
         full.extend_from_slice(&repr.path);
         for e in ctx_graph.incident(repr.node) {
             let att = ctx_graph.att(e);
             match ctx_graph.label(e) {
-                EdgeLabel::Terminal(_) => {
-                    if att.len() != 2 {
-                        continue;
+                EdgeLabel::Terminal(label) => {
+                    if let Some(neighbor) = terminal_neighbor(att, repr.node, dir) {
+                        emit(label, self.index.global_id(&repr.path, neighbor));
                     }
-                    let neighbor = match dir {
-                        // audited: att.len() == 2 was checked above; rank-2 terminal edge
-                        Direction::Out if att[0] == repr.node => att[1],
-                        // audited: att.len() == 2 was checked above; rank-2 terminal edge
-                        Direction::In if att[1] == repr.node => att[0],
-                        _ => continue,
-                    };
-                    out.push(self.index.global_id(&repr.path, neighbor));
                 }
                 EdgeLabel::Nonterminal(nt) => {
                     for (pos, &x) in att.iter().enumerate() {
                         if x != repr.node {
                             continue;
                         }
-                        let exp = self.expansion(nt, pos as u32, dir);
-                        for (rel, node) in exp.iter() {
+                        for (rel, label, node) in self.expansion(nt, pos as u32, dir).iter() {
                             full.truncate(repr.path.len());
                             full.push(e);
                             full.extend_from_slice(rel);
-                            out.push(self.index.global_id(full, *node));
+                            emit(*label, self.index.global_id(full, *node));
                         }
                     }
                 }
             }
         }
+    }
+
+    /// Neighbors of `repr`'s node over every direction in `dirs`, sorted
+    /// and deduplicated.
+    fn collect_neighbors(
+        &self,
+        repr: &GRepr,
+        dirs: &[Direction],
+        scratch: &mut Scratch,
+    ) -> Vec<u64> {
+        let mut out = Vec::new();
+        for &dir in dirs {
+            self.scan(repr, dir, scratch, |_, id| out.push(id));
+        }
         out.sort_unstable();
         out.dedup();
-        Ok(out)
+        out
+    }
+
+    /// Labeled edges of `repr`'s node in direction `dir` as sorted,
+    /// deduplicated `(label, neighbor)` pairs.
+    fn collect_edges(
+        &self,
+        repr: &GRepr,
+        dir: Direction,
+        scratch: &mut Scratch,
+    ) -> Vec<(u32, u64)> {
+        let mut out = Vec::new();
+        self.scan(repr, dir, scratch, |label, id| out.push((label, id)));
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
     /// Memoized rule-relative expansion for `(nt, ext position, dir)` — a
@@ -174,118 +192,7 @@ impl GrammarEngine {
 
     /// Uncached expansion body; straight-line grammars make the recursion
     /// (over strictly smaller nonterminals) finite.
-    fn compute_expansion(&self, nt: u32, pos: u32, dir: Direction) -> Vec<(Vec<EdgeId>, NodeId)> {
-        let rhs = self.grammar.rule(nt);
-        let Some(&v) = rhs.ext().get(pos as usize) else { return Vec::new() };
-        let mut out = Vec::new();
-        for e in rhs.incident(v) {
-            let att = rhs.att(e);
-            match rhs.label(e) {
-                EdgeLabel::Terminal(_) => {
-                    if att.len() != 2 {
-                        continue;
-                    }
-                    let neighbor = match dir {
-                        // audited: att.len() == 2 was checked above; rank-2 terminal edge
-                        Direction::Out if att[0] == v => att[1],
-                        // audited: att.len() == 2 was checked above; rank-2 terminal edge
-                        Direction::In if att[1] == v => att[0],
-                        _ => continue,
-                    };
-                    out.push((Vec::new(), neighbor));
-                }
-                EdgeLabel::Nonterminal(sub) => {
-                    for (p2, &x) in att.iter().enumerate() {
-                        if x != v {
-                            continue;
-                        }
-                        let nested = self.expansion(sub, p2 as u32, dir);
-                        for (rel, node) in nested.iter() {
-                            let mut path = Vec::with_capacity(rel.len() + 1);
-                            path.push(e);
-                            path.extend_from_slice(rel);
-                            out.push((path, *node));
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Labeled neighbor collection: the same context scan as
-    /// [`Self::collect_neighbors`], but keeping the terminal label each
-    /// neighbor was reached over. Feeds the `out_edges`/`in_edges`
-    /// primitive the version overlay corrects.
-    pub(crate) fn collect_edges(
-        &self,
-        repr: &GRepr,
-        dir: Direction,
-        scratch: &mut Scratch,
-    ) -> Result<Vec<(u32, u64)>, QueryError> {
-        let ctx_graph = self.index.context(&repr.path);
-        if ctx_graph.incident(repr.node).next().is_none() {
-            return Ok(Vec::new());
-        }
-        let mut out = Vec::new();
-        let full: &mut Vec<EdgeId> = &mut scratch.full;
-        full.clear();
-        full.extend_from_slice(&repr.path);
-        for e in ctx_graph.incident(repr.node) {
-            let att = ctx_graph.att(e);
-            match ctx_graph.label(e) {
-                EdgeLabel::Terminal(label) => {
-                    if att.len() != 2 {
-                        continue;
-                    }
-                    let neighbor = match dir {
-                        // audited: att.len() == 2 was checked above; rank-2 terminal edge
-                        Direction::Out if att[0] == repr.node => att[1],
-                        // audited: att.len() == 2 was checked above; rank-2 terminal edge
-                        Direction::In if att[1] == repr.node => att[0],
-                        _ => continue,
-                    };
-                    out.push((label, self.index.global_id(&repr.path, neighbor)));
-                }
-                EdgeLabel::Nonterminal(nt) => {
-                    for (pos, &x) in att.iter().enumerate() {
-                        if x != repr.node {
-                            continue;
-                        }
-                        let exp = self.labeled_expansion(nt, pos as u32, dir);
-                        for (rel, label, node) in exp.iter() {
-                            full.truncate(repr.path.len());
-                            full.push(e);
-                            full.extend_from_slice(rel);
-                            out.push((*label, self.index.global_id(full, *node)));
-                        }
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        Ok(out)
-    }
-
-    /// Memoized labeled rule-relative expansion — the labeled twin of
-    /// [`Self::expansion`], sharing its hit/miss counters (both populate
-    /// the same logical cache family).
-    pub(crate) fn labeled_expansion(&self, nt: u32, pos: u32, dir: Direction) -> LabeledExpansion {
-        let key: ExpansionKey = (nt, pos, dir);
-        if let Some(hit) = self.labeled_expansions.get(&key) {
-            self.cache_counters.expansion_hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
-        }
-        self.cache_counters.expansion_misses.fetch_add(1, Ordering::Relaxed);
-        let computed = Arc::new(self.compute_labeled_expansion(nt, pos, dir));
-        self.labeled_expansions.insert_if_absent(key, computed)
-    }
-
-    /// Uncached labeled expansion body, mirroring
-    /// [`Self::compute_expansion`] with the terminal label threaded
-    /// through.
-    fn compute_labeled_expansion(
+    fn compute_expansion(
         &self,
         nt: u32,
         pos: u32,
@@ -298,25 +205,16 @@ impl GrammarEngine {
             let att = rhs.att(e);
             match rhs.label(e) {
                 EdgeLabel::Terminal(label) => {
-                    if att.len() != 2 {
-                        continue;
+                    if let Some(neighbor) = terminal_neighbor(att, v, dir) {
+                        out.push((Vec::new(), label, neighbor));
                     }
-                    let neighbor = match dir {
-                        // audited: att.len() == 2 was checked above; rank-2 terminal edge
-                        Direction::Out if att[0] == v => att[1],
-                        // audited: att.len() == 2 was checked above; rank-2 terminal edge
-                        Direction::In if att[1] == v => att[0],
-                        _ => continue,
-                    };
-                    out.push((Vec::new(), label, neighbor));
                 }
                 EdgeLabel::Nonterminal(sub) => {
                     for (p2, &x) in att.iter().enumerate() {
                         if x != v {
                             continue;
                         }
-                        let nested = self.labeled_expansion(sub, p2 as u32, dir);
-                        for (rel, label, node) in nested.iter() {
+                        for (rel, label, node) in self.expansion(sub, p2 as u32, dir).iter() {
                             let mut path = Vec::with_capacity(rel.len() + 1);
                             path.push(e);
                             path.extend_from_slice(rel);
@@ -329,9 +227,25 @@ impl GrammarEngine {
         out
     }
 
+    /// The neighbors of `v` over `dirs` as a batch answer. `v` is located
+    /// through the batch's cache when the plan says ≥ 2 neighbor queries
+    /// name it.
+    fn batch_neighbors(
+        &self,
+        v: u64,
+        dirs: &[Direction],
+        ctx: &BatchContext<'_>,
+        scratch: &mut Scratch,
+    ) -> Result<QueryAnswer, QueryError> {
+        let repr = ctx
+            .locate(v, || self.index.try_locate(v))
+            .unwrap_or_else(|| self.index.try_locate(v).map(Arc::new))?;
+        Ok(QueryAnswer::Nodes(self.collect_neighbors(&repr, dirs, scratch)))
+    }
+
     /// Compiled-plan lookup for an RPQ pattern — a hit is an `Arc` clone out
     /// of the sharded cache.
-    pub(crate) fn plan(
+    fn plan(
         &self,
         pattern: &str,
     ) -> Result<Arc<RpqIndex<Arc<Grammar>>>, GrepairError> {
@@ -357,32 +271,27 @@ impl QueryEngine for GrammarEngine {
 
     fn out_neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
         let repr = self.index.try_locate(v)?;
-        Ok(self.collect_neighbors(&repr, Direction::Out, &mut Scratch::default())?)
+        Ok(self.collect_neighbors(&repr, &[Direction::Out], &mut Scratch::default()))
     }
 
     fn in_neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
         let repr = self.index.try_locate(v)?;
-        Ok(self.collect_neighbors(&repr, Direction::In, &mut Scratch::default())?)
+        Ok(self.collect_neighbors(&repr, &[Direction::In], &mut Scratch::default()))
     }
 
     fn out_edges(&self, v: u64) -> Result<Vec<(u32, u64)>, GrepairError> {
         let repr = self.index.try_locate(v)?;
-        Ok(self.collect_edges(&repr, Direction::Out, &mut Scratch::default())?)
+        Ok(self.collect_edges(&repr, Direction::Out, &mut Scratch::default()))
     }
 
     fn in_edges(&self, v: u64) -> Result<Vec<(u32, u64)>, GrepairError> {
         let repr = self.index.try_locate(v)?;
-        Ok(self.collect_edges(&repr, Direction::In, &mut Scratch::default())?)
+        Ok(self.collect_edges(&repr, Direction::In, &mut Scratch::default()))
     }
 
     fn neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
         let repr = self.index.try_locate(v)?;
-        let mut scratch = Scratch::default();
-        let mut out = self.collect_neighbors(&repr, Direction::Out, &mut scratch)?;
-        out.extend(self.collect_neighbors(&repr, Direction::In, &mut scratch)?);
-        out.sort_unstable();
-        out.dedup();
-        Ok(out)
+        Ok(self.collect_neighbors(&repr, &BOTH, &mut Scratch::default()))
     }
 
     fn reachable(&self, s: u64, t: u64) -> Result<bool, GrepairError> {
@@ -400,5 +309,50 @@ impl QueryEngine for GrammarEngine {
 
     fn degree_extrema(&self) -> Option<(u64, u64)> {
         speedup::degree_extrema(&self.grammar)
+    }
+
+    /// The per-batch sharing levers. Each engages only for keys the batch
+    /// plan marked as shared, so an empty context answers exactly like the
+    /// methods above.
+    fn answer<'q>(
+        &self,
+        q: &'q Query,
+        ctx: &BatchContext<'q>,
+        scratch: &mut Scratch,
+    ) -> Result<QueryAnswer, GrepairError> {
+        Ok(match q {
+            Query::OutNeighbors(v) => self.batch_neighbors(*v, &[Direction::Out], ctx, scratch)?,
+            Query::InNeighbors(v) => self.batch_neighbors(*v, &[Direction::In], ctx, scratch)?,
+            Query::Neighbors(v) => self.batch_neighbors(*v, &BOTH, ctx, scratch)?,
+            // Trivially true for valid ids — skip the forward closure.
+            Query::Reach { s, t } if s == t => QueryAnswer::Bool(self.reach.try_reachable(*s, *t)?),
+            Query::Reach { s, t } => {
+                let shared = ctx.reach_source(*s, || self.reach.try_source(*s));
+                QueryAnswer::Bool(match shared {
+                    Some(src) => self.reach.try_reachable_from(&*src?, *t)?,
+                    None => self.reach.try_reachable(*s, *t)?,
+                })
+            }
+            Query::Rpq { s, t, pattern } => {
+                let plan = self.plan(pattern)?;
+                let shared = ctx.rpq_source((pattern.as_str(), *s), || plan.try_source(*s));
+                QueryAnswer::Bool(match shared {
+                    Some(src) => plan.try_matches_from(&*src?, *t)?,
+                    None => plan.try_matches(*s, *t)?,
+                })
+            }
+            Query::Components => QueryAnswer::Count(self.components()),
+            Query::DegreeExtrema => QueryAnswer::Extrema(self.degree_extrema()),
+        })
+    }
+
+    fn cache_stats(&self) -> CacheStats {
+        let c = &self.cache_counters;
+        CacheStats {
+            expansion_hits: c.expansion_hits.load(Ordering::Relaxed),
+            expansion_misses: c.expansion_misses.load(Ordering::Relaxed),
+            plan_hits: c.plan_hits.load(Ordering::Relaxed),
+            plan_misses: c.plan_misses.load(Ordering::Relaxed),
+        }
     }
 }

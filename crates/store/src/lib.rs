@@ -23,13 +23,16 @@
 //!   (pattern, source) pair reuse one product closure, and neighbor
 //!   expansion of repeated rule labels is memoized store-wide (with
 //!   hit/miss counters in [`StoreStats`]).
+//! * **One query path** — every backend is a [`QueryEngine`] behind the
+//!   same dispatch. Batch-sharing levers sit behind the engine's
+//!   [`QueryEngine::answer`], so the store never needs to know which
+//!   backend it serves.
 //! * **Concurrent serving** — the caches are sharded (`RwLock` per shard,
 //!   see `DESIGN.md §5`), answers are `Arc<QueryAnswer>` so every cache or
 //!   memo hit is a pointer clone instead of a deep copy, and
-//!   [`GraphStore::query_batch_parallel`] partitions one batch across
-//!   worker threads that share the per-batch closures. Long-lived servers
-//!   plug their own reusable worker pool into the same machinery through
-//!   [`GraphStore::query_batch_on`] / [`BatchExecutor`].
+//!   [`GraphStore::query_batch_on`] partitions one batch across the
+//!   workers of a [`BatchExecutor`] (a long-lived server's reusable
+//!   thread pool) that share the per-batch closures.
 //! * **Multi-tenant hosting** — a [`StoreRegistry`] maps namespace names
 //!   to hot-reloadable store slots with per-namespace monotonic
 //!   generations: a freshly loaded container swaps in while in-flight
@@ -48,7 +51,7 @@
 //!   retained version while bare queries track the head (DESIGN.md §12).
 //!
 //! ```
-//! use grepair_store::{GraphStore, Query, QueryAnswer, write_container};
+//! use grepair_store::{BatchExecutor, GraphStore, Query, QueryAnswer, write_container};
 //!
 //! // Compress any graph, wrap it in the .g2g container, serve it.
 //! let (g, _) = grepair_hypergraph::Hypergraph::from_simple_edges(
@@ -68,8 +71,21 @@
 //! assert!(answers.iter().all(|a| a.is_ok()));
 //! assert_eq!(answers[1].as_deref(), Ok(&QueryAnswer::Bool(true)));
 //!
-//! // The same batch fanned out over worker threads: identical answers.
-//! assert_eq!(store.query_batch_parallel(&queries, 4), answers);
+//! // The same batch fanned out over two worker threads: identical answers.
+//! struct TwoThreads;
+//! impl BatchExecutor for TwoThreads {
+//!     fn max_workers(&self) -> usize {
+//!         2
+//!     }
+//!     fn scope<'env>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) {
+//!         std::thread::scope(|s| {
+//!             for job in jobs {
+//!                 s.spawn(job);
+//!             }
+//!         });
+//!     }
+//! }
+//! assert_eq!(store.query_batch_on(&queries, &TwoThreads), answers);
 //!
 //! // Hostile input errors instead of crashing the server.
 //! assert!(GraphStore::from_bytes(b"G2G1junk").is_err());
@@ -88,10 +104,10 @@ mod store;
 mod version;
 
 pub use backend::{
-    backend_names, codec_for, codecs, split_any_container, write_tagged_container, GraphCodec,
-    QueryEngine, TAGGED_MAGIC,
+    backend_names, codec_for, codecs, split_any_container, write_tagged_container, CacheStats,
+    GraphCodec, QueryEngine, TAGGED_MAGIC,
 };
-pub use engine::GrammarEngine;
+pub use engine::{GrammarEngine, Scratch};
 pub use error::GrepairError;
 pub use query::{compile_pattern, error_reply, parse_pattern, parse_query, Query, QueryAnswer};
 pub use registry::{
@@ -100,7 +116,8 @@ pub use registry::{
     MAX_NAMESPACE_LEN,
 };
 pub use store::{
-    parse_container, write_container, BatchExecutor, GraphStore, StoreStats, HEADER_LEN, MAGIC,
+    parse_container, write_container, BatchContext, BatchExecutor, GraphStore, StoreStats,
+    HEADER_LEN, MAGIC,
 };
 pub use version::{
     materialize, EdgePatch, PatchOp, VersionSummary, VersionedStore, MAX_VERSIONED_NODES,

@@ -6,10 +6,9 @@
 //! topology (DESIGN.md §8) holds a *map* of namespaces, each one mutable
 //! slot: `RwLock<Option<Arc<GraphStore>>>`. Every request path resolves its
 //! namespace, grabs the current `Arc` (a read lock held for one pointer
-//! clone), answers against that snapshot, and drops it when done. The
-//! single-store registry of earlier revisions is the degenerate case: one
-//! namespace, [`DEFAULT_NAMESPACE`], which the back-compat methods
-//! ([`StoreRegistry::current`], [`StoreRegistry::swap`], …) address.
+//! clone), answers against that snapshot, and drops it when done. A
+//! single-store deployment is the degenerate case: one namespace,
+//! [`DEFAULT_NAMESPACE`], addressed by name like any other.
 //!
 //! Three properties carry over from the single-slot design, now per
 //! namespace:
@@ -71,8 +70,9 @@ pub fn retry_backoff(retry: u32) -> Duration {
     Duration::from_millis(ms.min(50))
 }
 
-/// The namespace addressed by the back-compat single-store methods and by
-/// wire-protocol sessions that never issued `USE` (DESIGN.md §8).
+/// The namespace [`StoreRegistry::new`] / [`StoreRegistry::open`] register
+/// and wire-protocol sessions that never issued `USE` address
+/// (DESIGN.md §8).
 pub const DEFAULT_NAMESPACE: &str = "default";
 
 /// Longest accepted namespace name, in bytes.
@@ -267,7 +267,7 @@ const NO_BUDGET: u64 = u64::MAX;
 /// and LRU eviction under a byte budget.
 ///
 /// ```
-/// use grepair_store::{GraphStore, StoreRegistry};
+/// use grepair_store::{GraphStore, StoreRegistry, DEFAULT_NAMESPACE};
 /// # use grepair_core::{compress, GRePairConfig};
 /// # use grepair_store::write_container;
 /// # fn store() -> GraphStore {
@@ -278,11 +278,11 @@ const NO_BUDGET: u64 = u64::MAX;
 /// #     GraphStore::from_bytes(&write_container(&enc.bytes, enc.bit_len)).unwrap()
 /// # }
 /// let registry = StoreRegistry::new(store());   // the "default" namespace
-/// let before = registry.current();              // a long-lived query holds this
-/// assert_eq!(registry.generation(), 1);
+/// let before = registry.store(DEFAULT_NAMESPACE).unwrap(); // a long-lived query holds this
+/// assert_eq!(registry.generation_of(DEFAULT_NAMESPACE).unwrap(), 1);
 ///
-/// registry.swap(store());                       // hot reload
-/// assert_eq!(registry.generation(), 2);
+/// registry.swap(DEFAULT_NAMESPACE, store()).unwrap(); // hot reload
+/// assert_eq!(registry.generation_of(DEFAULT_NAMESPACE).unwrap(), 2);
 /// assert_eq!(before.generation(), 1);           // the old snapshot still answers
 /// assert!(before.reachable(0, 4).unwrap());
 ///
@@ -588,8 +588,9 @@ impl StoreRegistry {
     /// callers reporting on the reload must read generation *and* node
     /// count from this snapshot, not from a fresh resolution, or a
     /// concurrent swap can pair one generation with another generation's
-    /// data. The old store keeps serving whoever already holds its `Arc`.
-    fn swap_in(&self, name: &str, store: GraphStore) -> Result<Arc<GraphStore>, GrepairError> {
+    /// data. The old store keeps serving whoever already holds its `Arc`;
+    /// an unknown `name` is an error and changes nothing.
+    pub fn swap(&self, name: &str, store: GraphStore) -> Result<Arc<GraphStore>, GrepairError> {
         let ns = self.lookup(name).ok_or_else(|| unknown(name))?;
         // Swapping in fresh container data rebases the namespace: retained
         // versions described deltas over the *old* base, so the patch log
@@ -598,7 +599,7 @@ impl StoreRegistry {
         Ok(self.swap_in_arc(name, &ns, Arc::new(store)))
     }
 
-    /// The swap itself, shared by reloads (via [`Self::swap_in`], which
+    /// The swap itself, shared by reloads (via [`Self::swap`], which
     /// rebases first) and patch application (which must *keep* its log).
     fn swap_in_arc(&self, name: &str, ns: &Namespace, store: Arc<GraphStore>) -> Arc<GraphStore> {
         ns.last_hit.store(self.tick(), Ordering::Relaxed);
@@ -657,7 +658,7 @@ impl StoreRegistry {
         if path.is_some() {
             *ns.path.lock() = Some(target);
         }
-        self.swap_in(name, store)
+        self.swap(name, store)
     }
 
     // ------------------------------------------------------------------
@@ -687,7 +688,7 @@ impl StoreRegistry {
         let ns = self.lookup(name).ok_or_else(|| unknown(name))?;
         // Hold the log lock across apply + swap so concurrent patches
         // serialize and the slot's head can never lag the log's head.
-        // (Lock order is versions → slot, same as `swap_in`; eviction
+        // (Lock order is versions → slot, same as `swap`; eviction
         // takes only slot locks, and a patched head reports 0 resident
         // bytes so budget enforcement never turns back on this namespace.)
         let mut log_slot = ns.versions.lock();
@@ -874,46 +875,6 @@ impl StoreRegistry {
         let ns = self.lookup(name).ok_or_else(|| unknown(name))?;
         Ok(ns.generation.load(Ordering::Relaxed))
     }
-
-    // ------------------------------------------------------------------
-    // Back-compat single-store surface (the default namespace)
-    // ------------------------------------------------------------------
-
-    /// The [`DEFAULT_NAMESPACE`]'s serving store. Panics if that namespace
-    /// was detached — embedders using the single-store surface never do.
-    pub fn current(&self) -> Arc<GraphStore> {
-        self.store(DEFAULT_NAMESPACE)
-            // audited: documented single-store-surface contract: the default namespace stays attached
-            .expect("default namespace must be resident for the single-store surface")
-    }
-
-    /// Generation of the [`DEFAULT_NAMESPACE`] (starts at 1, bumped by
-    /// every successful swap/reload).
-    pub fn generation(&self) -> u64 {
-        self.generation_of(DEFAULT_NAMESPACE).unwrap_or(0)
-    }
-
-    /// Statistics of the [`DEFAULT_NAMESPACE`]'s serving store (includes
-    /// its generation).
-    pub fn stats(&self) -> StoreStats {
-        self.current().stats()
-    }
-
-    /// Swap `store` in as the [`DEFAULT_NAMESPACE`]'s new serving store
-    /// and return its generation. The old store keeps serving whoever
-    /// already holds its `Arc`.
-    pub fn swap(&self, store: GraphStore) -> u64 {
-        self.swap_in(DEFAULT_NAMESPACE, store)
-            // audited: documented single-store-surface contract: the default namespace stays attached
-            .expect("default namespace must exist for the single-store surface")
-            .generation()
-    }
-
-    /// Load a fresh container and swap it into the [`DEFAULT_NAMESPACE`]:
-    /// [`StoreRegistry::reload`] for the single-store surface.
-    pub fn reload_from(&self, path: &str) -> Result<Arc<GraphStore>, GrepairError> {
-        self.reload(DEFAULT_NAMESPACE, Some(path))
-    }
 }
 
 #[cfg(test)]
@@ -922,6 +883,7 @@ mod tests {
     use crate::{write_container, Query};
     use grepair_core::{compress, GRePairConfig};
     use grepair_hypergraph::Hypergraph;
+    use grepair_util::tmp::TempPath;
 
     fn g2g(reps: u32) -> Vec<u8> {
         let (g, _) = Hypergraph::from_simple_edges(
@@ -937,40 +899,30 @@ mod tests {
         GraphStore::from_bytes(&g2g(reps)).unwrap()
     }
 
-    /// Write `reps` containers to temp files and return their paths.
-    fn g2g_files(tag: &str, sizes: &[u32]) -> Vec<String> {
-        let dir = std::env::temp_dir();
+    /// Write one temp container per entry of `sizes`; each file goes when
+    /// its path drops.
+    fn g2g_files(tag: &str, sizes: &[u32]) -> Vec<TempPath> {
         sizes
             .iter()
-            .enumerate()
-            .map(|(i, &reps)| {
-                let path = dir.join(format!(
-                    "grepair_registry_{tag}_{}_{i}.g2g",
-                    std::process::id()
-                ));
+            .map(|&reps| {
+                let path = TempPath::new(&format!("grepair_registry_{tag}"), ".g2g");
                 std::fs::write(&path, g2g(reps)).unwrap();
-                path.to_string_lossy().into_owned()
+                path
             })
             .collect()
-    }
-
-    fn cleanup(paths: &[String]) {
-        for p in paths {
-            let _ = std::fs::remove_file(p);
-        }
     }
 
     #[test]
     fn swap_bumps_generation_and_keeps_old_snapshots_alive() {
         let registry = StoreRegistry::new(store(8));
-        assert_eq!(registry.generation(), 1);
-        assert_eq!(registry.stats().generation, 1);
-        let old = registry.current();
+        assert_eq!(registry.generation_of(DEFAULT_NAMESPACE).unwrap(), 1);
+        assert_eq!(registry.stats_for(DEFAULT_NAMESPACE).unwrap().generation, 1);
+        let old = registry.store(DEFAULT_NAMESPACE).unwrap();
         assert_eq!(old.total_nodes(), 17);
 
-        assert_eq!(registry.swap(store(16)), 2);
-        assert_eq!(registry.generation(), 2);
-        let new = registry.current();
+        assert_eq!(registry.swap(DEFAULT_NAMESPACE, store(16)).unwrap().generation(), 2);
+        assert_eq!(registry.generation_of(DEFAULT_NAMESPACE).unwrap(), 2);
+        let new = registry.store(DEFAULT_NAMESPACE).unwrap();
         assert_eq!(new.total_nodes(), 33);
         assert_eq!(new.generation(), 2);
 
@@ -984,21 +936,20 @@ mod tests {
     #[test]
     fn failed_reload_leaves_the_current_store_serving() {
         let registry = StoreRegistry::new(store(4));
-        let before = registry.generation();
-        assert!(registry.reload_from("/nonexistent/grepair.g2g").is_err());
-        assert_eq!(registry.generation(), before);
-        assert!(registry.current().reachable(0, 8).unwrap());
+        let before = registry.generation_of(DEFAULT_NAMESPACE).unwrap();
+        assert!(registry.reload(DEFAULT_NAMESPACE, Some("/nonexistent/grepair.g2g")).is_err());
+        assert_eq!(registry.generation_of(DEFAULT_NAMESPACE).unwrap(), before);
+        assert!(registry.store(DEFAULT_NAMESPACE).unwrap().reachable(0, 8).unwrap());
     }
 
     #[test]
     fn reload_from_a_real_file_swaps() {
         let paths = g2g_files("reload", &[12]);
         let registry = StoreRegistry::new(store(4));
-        let reloaded = registry.reload_from(&paths[0]).unwrap();
+        let reloaded = registry.reload(DEFAULT_NAMESPACE, Some(paths[0].as_str())).unwrap();
         assert_eq!(reloaded.generation(), 2);
         assert_eq!(reloaded.total_nodes(), 25);
-        assert!(Arc::ptr_eq(&reloaded, &registry.current()));
-        cleanup(&paths);
+        assert!(Arc::ptr_eq(&reloaded, &registry.store(DEFAULT_NAMESPACE).unwrap()));
     }
 
     #[test]
@@ -1009,7 +960,7 @@ mod tests {
                 let registry = &registry;
                 scope.spawn(move || {
                     for i in 0..200u64 {
-                        let snapshot = registry.current();
+                        let snapshot = registry.store(DEFAULT_NAMESPACE).unwrap();
                         // Node 0 exists in every generation served here.
                         let answer = snapshot.query(&Query::OutNeighbors(i % 17));
                         assert!(answer.is_ok(), "{answer:?}");
@@ -1019,12 +970,12 @@ mod tests {
             let registry = &registry;
             scope.spawn(move || {
                 for _ in 0..20 {
-                    registry.swap(store(8));
+                    registry.swap(DEFAULT_NAMESPACE, store(8)).unwrap();
                 }
             });
         });
-        assert_eq!(registry.generation(), 21);
-        assert_eq!(registry.current().generation(), 21);
+        assert_eq!(registry.generation_of(DEFAULT_NAMESPACE).unwrap(), 21);
+        assert_eq!(registry.store(DEFAULT_NAMESPACE).unwrap().generation(), 21);
     }
 
     // ------------------------------------------------------------------
@@ -1048,10 +999,10 @@ mod tests {
     fn attach_detach_and_list() {
         let paths = g2g_files("attach", &[4, 8]);
         let registry = StoreRegistry::new(store(2));
-        let a = registry.attach("a", &paths[0]).unwrap();
+        let a = registry.attach("a", paths[0].as_str()).unwrap();
         assert_eq!(a.generation(), 1);
         assert_eq!(a.total_nodes(), 9);
-        registry.attach_cold("b", &paths[1]).unwrap();
+        registry.attach_cold("b", paths[1].as_str()).unwrap();
 
         // Sorted, with residency and generation.
         assert_eq!(
@@ -1064,7 +1015,7 @@ mod tests {
         );
 
         // Duplicate names are rejected, registry untouched.
-        assert!(registry.attach("a", &paths[1]).is_err());
+        assert!(registry.attach("a", paths[1].as_str()).is_err());
         assert_eq!(registry.store("a").unwrap().total_nodes(), 9);
 
         // Lazy open on first resolution: generation 0 → 1, cold open counted.
@@ -1076,7 +1027,6 @@ mod tests {
         assert!(registry.store("a").is_err());
         assert!(registry.detach("a").is_err(), "double detach errors");
         assert_eq!(registry.list().len(), 2);
-        cleanup(&paths);
     }
 
     #[test]
@@ -1085,34 +1035,31 @@ mod tests {
         assert!(registry.attach("bad", "/nonexistent/x.g2g").is_err());
         assert!(!registry.contains("bad"));
         // A hostile container likewise: error, no registration.
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("grepair_registry_hostile_{}.g2g", std::process::id()));
+        let path = TempPath::new("grepair_registry_hostile", ".g2g");
         std::fs::write(&path, b"G2G1 definitely not a container").unwrap();
-        assert!(registry.attach("bad", path.to_str().unwrap()).is_err());
+        assert!(registry.attach("bad", path.as_str()).is_err());
         assert!(!registry.contains("bad"));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn reload_is_per_namespace() {
         let paths = g2g_files("perns", &[4, 8, 12]);
         let registry = StoreRegistry::new(store(2));
-        registry.attach("a", &paths[0]).unwrap();
-        registry.attach("b", &paths[1]).unwrap();
+        registry.attach("a", paths[0].as_str()).unwrap();
+        registry.attach("b", paths[1].as_str()).unwrap();
 
-        let reloaded = registry.reload("a", Some(&paths[2])).unwrap();
+        let reloaded = registry.reload("a", Some(paths[2].as_str())).unwrap();
         assert_eq!(reloaded.generation(), 2);
         assert_eq!(reloaded.total_nodes(), 25);
         // The sibling namespace's generation is untouched.
         assert_eq!(registry.generation_of("b").unwrap(), 1);
-        assert_eq!(registry.generation(), 1);
+        assert_eq!(registry.generation_of(DEFAULT_NAMESPACE).unwrap(), 1);
 
         // Bare reload re-reads the recorded path — which the explicit
         // reload above updated.
         let again = registry.reload("a", None).unwrap();
         assert_eq!(again.generation(), 3);
         assert_eq!(again.total_nodes(), 25);
-        cleanup(&paths);
     }
 
     #[test]
@@ -1121,7 +1068,7 @@ mod tests {
         let paths = g2g_files("evict", &sizes);
         let registry = StoreRegistry::new(store(2)); // in-memory, 0 bytes
         for (i, p) in paths.iter().enumerate() {
-            registry.attach(&format!("t{i}"), p).unwrap();
+            registry.attach(&format!("t{i}"), p.as_str()).unwrap();
         }
         let total = registry.resident_bytes();
         assert!(total > 0);
@@ -1172,7 +1119,6 @@ mod tests {
             .filter(|(name, resident, _)| *resident && name != "default")
             .count();
         assert_eq!(resident_evictable, 1, "only the just-touched store stays");
-        cleanup(&paths);
     }
 
     #[test]
@@ -1190,7 +1136,7 @@ mod tests {
     fn aggregate_stats_fold_in_retired_stores() {
         let paths = g2g_files("fold", &[4]);
         let registry = StoreRegistry::new(store(4));
-        registry.attach("a", &paths[0]).unwrap();
+        registry.attach("a", paths[0].as_str()).unwrap();
         let a = registry.store("a").unwrap();
         let _ = a.query(&Query::OutNeighbors(0));
         let _ = a.query(&Query::OutNeighbors(1 << 40)); // error
@@ -1202,7 +1148,6 @@ mod tests {
         let rendered = stats.to_string();
         assert!(rendered.starts_with("namespaces=1 resident=1 "), "{rendered}");
         assert!(rendered.contains("budget=none"), "{rendered}");
-        cleanup(&paths);
     }
 
     #[test]
@@ -1210,7 +1155,7 @@ mod tests {
         let paths = g2g_files("conc", &[8, 8, 8]);
         let registry = StoreRegistry::new(store(8));
         for (i, p) in paths.iter().enumerate() {
-            registry.attach(&format!("t{i}"), p).unwrap();
+            registry.attach(&format!("t{i}"), p.as_str()).unwrap();
         }
         let one = registry.store("t0").unwrap().resident_bytes();
         registry.set_budget(Some(2 * one));
@@ -1237,7 +1182,6 @@ mod tests {
         for t in 0..3 {
             assert!(registry.store(&format!("t{t}")).is_ok());
         }
-        cleanup(&paths);
     }
 
     // ------------------------------------------------------------------
@@ -1300,7 +1244,7 @@ mod tests {
     fn reload_and_swap_rebase_the_patch_log() {
         let paths = g2g_files("rebase", &[4]);
         let registry = StoreRegistry::new(store(2));
-        registry.attach("a", &paths[0]).unwrap();
+        registry.attach("a", paths[0].as_str()).unwrap();
         registry.patch("a", EdgePatch::parse("ADD 0 7 1").unwrap()).unwrap();
         assert_eq!(registry.versions_of("a").unwrap().len(), 2);
 
@@ -1316,17 +1260,16 @@ mod tests {
         // The default-namespace swap surface rebases too.
         registry.patch(DEFAULT_NAMESPACE, EdgePatch::parse("ADD 0 7 1").unwrap()).unwrap();
         assert_eq!(registry.versions_of(DEFAULT_NAMESPACE).unwrap().len(), 2);
-        registry.swap(store(2));
+        registry.swap(DEFAULT_NAMESPACE, store(2)).unwrap();
         assert_eq!(registry.versions_of(DEFAULT_NAMESPACE).unwrap().len(), 1);
-        cleanup(&paths);
     }
 
     #[test]
     fn patched_heads_survive_budget_pressure() {
         let paths = g2g_files("verprot", &[8, 8]);
         let registry = StoreRegistry::new(store(2));
-        registry.attach("a", &paths[0]).unwrap();
-        registry.attach("b", &paths[1]).unwrap();
+        registry.attach("a", paths[0].as_str()).unwrap();
+        registry.attach("b", paths[1].as_str()).unwrap();
         registry.patch("a", EdgePatch::parse("ADD 0 9 1").unwrap()).unwrap();
         // A zero budget sheds every evictable container — but "a"'s head
         // is an overlay (0 resident bytes) whose eviction would silently
@@ -1337,6 +1280,5 @@ mod tests {
         assert!(resident("a"), "{list:?}");
         assert!(!resident("b"), "{list:?}");
         assert!(registry.store("a").unwrap().rpq("9", 0, 1).unwrap());
-        cleanup(&paths);
     }
 }

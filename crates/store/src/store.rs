@@ -1,10 +1,10 @@
 //! The long-lived query-serving store.
 
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use grepair_grammar::Grammar;
-use grepair_queries::neighbors::Direction;
 use grepair_queries::reach::SourceClosure;
 use grepair_queries::{GRepr, QueryError, RpqSourceClosure};
 use grepair_util::{FxHashMap, FxHashSet};
@@ -62,12 +62,11 @@ type AnswerResult = Result<Arc<QueryAnswer>, GrepairError>;
 /// Something that can run a set of borrowed jobs to completion — the seam
 /// between the store's batch partitioning and whoever owns the threads.
 ///
-/// [`GraphStore::query_batch_parallel`] plugs in a spawn-per-batch
-/// implementation (scoped `std::thread`s); a long-lived server plugs in a
-/// reusable worker pool (`grepair-server`'s `WorkerPool`), so small batches
-/// stop paying the per-batch spawn cost. The batch being fanned out may be
-/// served by *any* registered backend — the jobs capture `&GraphStore`,
-/// which dispatches to the engine behind it.
+/// [`GraphStore::query_batch_on`] hands the executor one job per worker; a
+/// long-lived server plugs in a reusable worker pool (`grepair-server`'s
+/// `WorkerPool`), so batches never pay a per-batch thread spawn. The batch
+/// being fanned out may be served by *any* registered backend — the jobs
+/// capture `&GraphStore`, which dispatches to the engine behind it.
 ///
 /// # Contract
 ///
@@ -85,26 +84,19 @@ pub trait BatchExecutor {
     fn scope<'env>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'env>>);
 }
 
-/// The executor behind [`GraphStore::query_batch_parallel`]: fresh scoped
-/// threads per batch. Spawn cost is amortized over large batches (the
-/// intended usage — ~tens of microseconds per call); serving stacks that
-/// answer many small batches should pass a pooled [`BatchExecutor`] to
-/// [`GraphStore::query_batch_on`] instead.
-struct ScopedSpawner(usize);
+/// The executor behind [`GraphStore::query_batch`]: one worker, the
+/// calling thread.
+struct Inline;
 
-impl BatchExecutor for ScopedSpawner {
+impl BatchExecutor for Inline {
     fn max_workers(&self) -> usize {
-        self.0
+        1
     }
 
     fn scope<'env>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) {
-        // `thread::scope` joins every worker before returning and propagates
-        // any panic, which satisfies the run-to-completion contract.
-        std::thread::scope(|scope| {
-            for job in jobs {
-                scope.spawn(job);
-            }
-        });
+        for job in jobs {
+            job();
+        }
     }
 }
 
@@ -139,10 +131,11 @@ pub struct StoreStats {
     pub loads: u64,
     /// Queries answered (each element of a batch counts once).
     pub queries_served: u64,
-    /// `query_batch` + `query_batch_parallel` invocations.
+    /// [`GraphStore::query_batch`] + [`GraphStore::query_batch_on`]
+    /// invocations.
     pub batches: u64,
-    /// [`GraphStore::query_batch_parallel`] invocations that actually fanned
-    /// out to worker threads (also counted in `batches`).
+    /// Batches that actually fanned out to more than one worker (also
+    /// counted in `batches`).
     pub parallel_batches: u64,
     /// Queries that returned an error.
     pub errors: u64,
@@ -189,6 +182,7 @@ impl std::fmt::Display for StoreStats {
 /// or caching a source closure nobody reuses, is pure overhead (hash,
 /// clone, lock) on the hot path. The plan is built once per batch in O(n)
 /// and consulted read-only by every worker thread, lock-free.
+#[derive(Default)]
 struct BatchPlan<'q> {
     /// Queries occurring ≥ 2 times — the only ones the memo admits.
     duplicates: FxHashSet<&'q Query>,
@@ -201,13 +195,11 @@ struct BatchPlan<'q> {
 }
 
 impl<'q> BatchPlan<'q> {
-    /// One hash set probe per query tells the hot path whether to bother —
-    /// empty sets short-circuit before hashing.
-    fn has_duplicates(&self) -> bool {
-        !self.duplicates.is_empty()
-    }
-
     fn new(queries: &'q [Query]) -> Self {
+        if queries.len() < 2 {
+            // Nothing can repeat: skip the counting maps (single queries).
+            return Self::default();
+        }
         let cap = queries.len();
         let mut query_count: FxHashMap<&Query, u32> =
             FxHashMap::with_capacity_and_hasher(cap, Default::default());
@@ -251,17 +243,28 @@ impl<'q> BatchPlan<'q> {
 }
 
 /// Per-batch shared state: everything that lets one request's work pay for
-/// the next request's. Internally sharded ([`ShardedMap`]) and keyed by
+/// the next request's. Internally sharded (`ShardedMap`) and keyed by
 /// references into the batch slice (no `Query`/pattern clones), so the same
 /// context is shared *across worker threads* by
-/// [`GraphStore::query_batch_parallel`] without a global lock.
+/// [`GraphStore::query_batch_on`] without a global lock. A single query
+/// gets an empty context, whose plan shares nothing.
 ///
-/// The duplicate memo applies to every backend; the three closure/locate
-/// maps are grammar-shaped levers and engage only when the grammar engine
-/// is serving.
-struct BatchContext<'q> {
-    /// Which keys are worth admitting into the maps below.
+/// The store applies the duplicate memo for every backend; engines reach
+/// the source-closure and locate maps through [`QueryEngine::answer`]
+/// (the grammar engine's levers).
+pub struct BatchContext<'q> {
+    /// Which keys are worth admitting into the maps.
     plan: BatchPlan<'q>,
+    /// The maps, built on first use: a single query, or a batch where
+    /// nothing repeats, never touches them. Building their 64 empty shards
+    /// up front cost ~1 µs per single query on a 2-vCPU guest, twice the
+    /// cost of an `out` query itself.
+    maps: OnceLock<Box<BatchMaps<'q>>>,
+}
+
+/// The sharing maps of one [`BatchContext`].
+#[derive(Default)]
+struct BatchMaps<'q> {
     /// Duplicate queries collapse to one computation; hits are `Arc` clones.
     memo: ShardedMap<&'q Query, AnswerResult>,
     /// `reach` queries sharing a source reuse one forward closure.
@@ -276,24 +279,62 @@ struct BatchContext<'q> {
 
 impl<'q> BatchContext<'q> {
     fn new(queries: &'q [Query]) -> Self {
-        Self {
-            plan: BatchPlan::new(queries),
-            memo: ShardedMap::default(),
-            reach_sources: ShardedMap::default(),
-            rpq_sources: ShardedMap::default(),
-            locates: ShardedMap::default(),
-        }
+        Self { plan: BatchPlan::new(queries), maps: OnceLock::new() }
+    }
+
+    fn maps(&self) -> &BatchMaps<'q> {
+        self.maps.get_or_init(Box::default)
+    }
+
+    /// The forward closure from `s`, computed once per batch — `None`
+    /// unless ≥ 2 of the batch's `reach` queries start at `s`.
+    pub(crate) fn reach_source(
+        &self,
+        s: u64,
+        compute: impl FnOnce() -> Result<SourceClosure, QueryError>,
+    ) -> Option<Result<Arc<SourceClosure>, QueryError>> {
+        is_shared(&self.plan.shared_reach, &s)
+            .then(|| memoize(&self.maps().reach_sources, s, compute))
+    }
+
+    /// The RPQ product closure from `(pattern, source)`, computed once per
+    /// batch — `None` unless ≥ 2 of the batch's `rpq` queries share it.
+    pub(crate) fn rpq_source(
+        &self,
+        key: (&'q str, u64),
+        compute: impl FnOnce() -> Result<RpqSourceClosure, QueryError>,
+    ) -> Option<Result<Arc<RpqSourceClosure>, QueryError>> {
+        is_shared(&self.plan.shared_rpq, &key)
+            .then(|| memoize(&self.maps().rpq_sources, key, compute))
+    }
+
+    /// The G-representation of `v`, located once per batch — `None`
+    /// unless ≥ 2 of the batch's neighbor queries name `v`.
+    pub(crate) fn locate(
+        &self,
+        v: u64,
+        compute: impl FnOnce() -> Result<GRepr, QueryError>,
+    ) -> Option<Result<Arc<GRepr>, QueryError>> {
+        is_shared(&self.plan.shared_nodes, &v).then(|| memoize(&self.maps().locates, v, compute))
     }
 }
 
-/// The engine behind a store: the grammar engine is held unboxed because
-/// the batch machinery reaches into its reach/RPQ/locate internals for the
-/// per-batch sharing levers; every other backend is a [`QueryEngine`]
-/// trait object served through the same dispatch.
-#[derive(Debug)]
-enum EngineSlot {
-    Grammar(Box<GrammarEngine>),
-    External(Box<dyn QueryEngine>),
+/// Did the batch plan mark `key` as shared? Empty sets short-circuit
+/// before hashing.
+fn is_shared<K: Hash + Eq>(shared: &FxHashSet<K>, key: &K) -> bool {
+    !shared.is_empty() && shared.contains(key)
+}
+
+/// `compute` once per key through `memo`.
+fn memoize<K: Hash + Eq, T>(
+    memo: &ShardedMap<K, Result<Arc<T>, QueryError>>,
+    key: K,
+    compute: impl FnOnce() -> Result<T, QueryError>,
+) -> Result<Arc<T>, QueryError> {
+    match memo.get(&key) {
+        Some(hit) => hit,
+        None => memo.insert_if_absent(key, compute().map(Arc::new)),
+    }
 }
 
 /// A loaded compressed graph, indexed once, serving forever.
@@ -305,7 +346,7 @@ enum EngineSlot {
 /// grammar), eagerly builds that backend's indexes, and then answers any
 /// number of [`Query`]s — individually via [`GraphStore::query`], amortized
 /// via [`GraphStore::query_batch`], or across worker threads via
-/// [`GraphStore::query_batch_parallel`].
+/// [`GraphStore::query_batch_on`].
 ///
 /// All interior mutability is synchronized (sharded `RwLock` caches, atomic
 /// counters), so one store can be shared across threads
@@ -315,7 +356,7 @@ enum EngineSlot {
 /// of a neighbor list.
 #[derive(Debug)]
 pub struct GraphStore {
-    engine: EngineSlot,
+    engine: Box<dyn QueryEngine>,
     /// Whole-graph aggregates, computed at most once per loaded store —
     /// for the grammar in one O(|G|) pass, for adjacency backends by a
     /// full scan.
@@ -333,7 +374,12 @@ pub struct GraphStore {
 }
 
 impl GraphStore {
-    fn from_slot(engine: EngineSlot) -> Self {
+    /// Build a store around any loaded [`QueryEngine`] — the seam every
+    /// backend (and embedders with custom representations) comes through.
+    /// The store supplies batching, parallel fan-out, the duplicate memo,
+    /// aggregate memoization, counters, and hot-reload registration; the
+    /// engine supplies the answers.
+    pub fn from_engine(engine: Box<dyn QueryEngine>) -> Self {
         Self {
             engine,
             components: OnceLock::new(),
@@ -352,31 +398,14 @@ impl GraphStore {
         grammar
             .validate()
             .map_err(|e| GrepairError::Codec(grepair_codec::CodecError::Malformed(e)))?;
-        Ok(Self::from_slot(EngineSlot::Grammar(Box::new(GrammarEngine::new(Arc::new(grammar))))))
-    }
-
-    /// Build a store around any loaded [`QueryEngine`] — the seam the
-    /// non-grammar backends (and embedders with custom representations)
-    /// come through. The store supplies batching, parallel fan-out, the
-    /// duplicate memo, aggregate memoization, counters, and hot-reload
-    /// registration; the engine supplies the answers.
-    pub fn from_engine(engine: Box<dyn QueryEngine>) -> Self {
-        Self::from_slot(EngineSlot::External(engine))
+        Ok(Self::from_engine(Box::new(GrammarEngine::new(Arc::new(grammar)))))
     }
 
     /// Decode any container image — legacy `.g2g` or tagged — and build
     /// the store for whichever backend the header names.
     pub fn from_bytes(file: &[u8]) -> Result<Self, GrepairError> {
         let (tag, bit_len, payload) = backend::split_any_container(file)?;
-        let codec = backend::resolve_codec(tag)?;
-        let mut store = if codec.name() == backend::GREPAIR {
-            // The grammar path stays unboxed so the batch machinery keeps
-            // its grammar-shaped amortization levers.
-            let grammar = backend::decode_validated_grammar(payload, bit_len)?;
-            Self::from_slot(EngineSlot::Grammar(Box::new(GrammarEngine::new(Arc::new(grammar)))))
-        } else {
-            Self::from_engine(codec.load(payload, bit_len)?)
-        };
+        let mut store = Self::from_engine(backend::resolve_codec(tag)?.load(payload, bit_len)?);
         store.container_bytes = file.len() as u64;
         Ok(store)
     }
@@ -393,31 +422,15 @@ impl GraphStore {
         Self::from_bytes(&file)
     }
 
-    /// The engine as its backend-agnostic trait surface.
-    fn engine_dyn(&self) -> &dyn QueryEngine {
-        match &self.engine {
-            EngineSlot::Grammar(ge) => &**ge,
-            EngineSlot::External(e) => &**e,
-        }
-    }
-
     /// Name of the backend serving this store (`grepair`, `k2`, …).
     pub fn backend(&self) -> &'static str {
-        self.engine_dyn().backend()
-    }
-
-    /// The grammar being served — `Some` only for the gRePair backend.
-    pub fn grammar(&self) -> Option<&Grammar> {
-        match &self.engine {
-            EngineSlot::Grammar(ge) => Some(ge.grammar()),
-            EngineSlot::External(_) => None,
-        }
+        self.engine.backend()
     }
 
     /// Number of nodes of the represented graph — valid query ids are
     /// `0..total_nodes()`.
     pub fn total_nodes(&self) -> u64 {
-        self.engine_dyn().total_nodes()
+        self.engine.total_nodes()
     }
 
     /// Which registry generation this store is (see
@@ -443,18 +456,7 @@ impl GraphStore {
     /// Snapshot the serving statistics.
     pub fn stats(&self) -> StoreStats {
         let c = &self.counters;
-        let (eh, em, ph, pm) = match &self.engine {
-            EngineSlot::Grammar(ge) => {
-                let cc = &ge.cache_counters;
-                (
-                    cc.expansion_hits.load(Ordering::Relaxed),
-                    cc.expansion_misses.load(Ordering::Relaxed),
-                    cc.plan_hits.load(Ordering::Relaxed),
-                    cc.plan_misses.load(Ordering::Relaxed),
-                )
-            }
-            EngineSlot::External(_) => (0, 0, 0, 0),
-        };
+        let cache = self.engine.cache_stats();
         StoreStats {
             generation: self.generation(),
             backend: self.backend(),
@@ -464,10 +466,10 @@ impl GraphStore {
             batches: c.batches.load(Ordering::Relaxed),
             parallel_batches: c.parallel_batches.load(Ordering::Relaxed),
             errors: c.errors.load(Ordering::Relaxed),
-            expansion_cache_hits: eh,
-            expansion_cache_misses: em,
-            rpq_plan_hits: ph,
-            rpq_plan_misses: pm,
+            expansion_cache_hits: cache.expansion_hits,
+            expansion_cache_misses: cache.expansion_misses,
+            rpq_plan_hits: cache.plan_hits,
+            rpq_plan_misses: cache.plan_misses,
         }
     }
 
@@ -477,54 +479,54 @@ impl GraphStore {
 
     /// Out-neighbors of `v`, sorted ascending.
     pub fn out_neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
-        self.engine_dyn().out_neighbors(v)
+        self.engine.out_neighbors(v)
     }
 
     /// In-neighbors of `v`, sorted ascending.
     pub fn in_neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
-        self.engine_dyn().in_neighbors(v)
+        self.engine.in_neighbors(v)
     }
 
     /// Union of both directions, sorted and deduplicated.
     pub fn neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
-        self.engine_dyn().neighbors(v)
+        self.engine.neighbors(v)
     }
 
     /// Labeled out-edges of `v` as sorted `(label, target)` pairs — the
     /// primitive the version overlay corrects (DESIGN.md §12).
     pub fn out_edges(&self, v: u64) -> Result<Vec<(u32, u64)>, GrepairError> {
-        self.engine_dyn().out_edges(v)
+        self.engine.out_edges(v)
     }
 
     /// Labeled in-edges of `v` as sorted `(label, source)` pairs.
     pub fn in_edges(&self, v: u64) -> Result<Vec<(u32, u64)>, GrepairError> {
-        self.engine_dyn().in_edges(v)
+        self.engine.in_edges(v)
     }
 
     /// Is `t` reachable from `s`?
     pub fn reachable(&self, s: u64, t: u64) -> Result<bool, GrepairError> {
-        self.engine_dyn().reachable(s, t)
+        self.engine.reachable(s, t)
     }
 
     /// Does some `s → t` path spell a word of the pattern's language?
     pub fn rpq(&self, pattern: &str, s: u64, t: u64) -> Result<bool, GrepairError> {
-        self.engine_dyn().rpq(pattern, s, t)
+        self.engine.rpq(pattern, s, t)
     }
 
     /// Number of connected components (memoized per loaded store).
     pub fn components(&self) -> u64 {
-        *self.components.get_or_init(|| self.engine_dyn().components())
+        *self.components.get_or_init(|| self.engine.components())
     }
 
     /// `(min, max)` degree (memoized; `None` when empty).
     pub fn degree_extrema(&self) -> Option<(u64, u64)> {
-        *self.degrees.get_or_init(|| self.engine_dyn().degree_extrema())
+        *self.degrees.get_or_init(|| self.engine.degree_extrema())
     }
 
     /// Answer one query, updating the serving counters.
     pub fn query(&self, q: &Query) -> AnswerResult {
         self.counters.queries.fetch_add(1, Ordering::Relaxed);
-        let result = self.answer(q, None, &mut Scratch::default());
+        let result = self.answer(q, &BatchContext::new(&[]), &mut Scratch::default());
         if result.is_err() {
             self.counters.errors.fetch_add(1, Ordering::Relaxed);
         }
@@ -547,55 +549,35 @@ impl GraphStore {
     /// * neighbor queries against the same node share one `locate` descent
     ///   (grammar backend),
     /// * rule expansions and RPQ plans hit the store-wide sharded caches.
-    pub fn query_batch(&self, queries: &[Query]) -> Vec<AnswerResult> {
-        self.counters.batches.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .queries
-            .fetch_add(queries.len() as u64, Ordering::Relaxed);
-        let ctx = BatchContext::new(queries);
-        let mut scratch = Scratch::default();
-        self.answer_chunk(queries, &ctx, &mut scratch)
-    }
-
-    /// [`GraphStore::query_batch`], partitioned across `threads` worker
-    /// threads sharing one batch context (per-source closures, duplicate
-    /// memo, locate cache) through the sharded maps. Answers come back in
-    /// input order, errors included, exactly as the sequential path would
-    /// produce them.
     ///
-    /// `threads` ≤ 1 or a batch smaller than two queries fall back to the
-    /// sequential path; `threads` is capped at the batch length. Worker
-    /// threads are spawned per call (scoped `std::thread`, no pool):
-    /// amortizing spawn cost across a 10k-query batch is the intended
-    /// usage, per-call overhead is ~tens of microseconds. Serving stacks
-    /// that answer many *small* batches should reuse threads through
-    /// [`GraphStore::query_batch_on`] with a pooled [`BatchExecutor`]
-    /// instead.
-    pub fn query_batch_parallel(&self, queries: &[Query], threads: usize) -> Vec<AnswerResult> {
-        self.query_batch_on(queries, &ScopedSpawner(threads))
+    /// This is [`GraphStore::query_batch_on`] with one worker: the calling
+    /// thread.
+    pub fn query_batch(&self, queries: &[Query]) -> Vec<AnswerResult> {
+        self.query_batch_on(queries, &Inline)
     }
 
-    /// [`GraphStore::query_batch_parallel`] with caller-owned threads: the
-    /// batch is partitioned into one job per executor worker, all jobs
-    /// share one batch context (per-source closures, duplicate memo,
-    /// locate cache) through the sharded maps, and `executor` runs them.
-    /// Answers come back in input order, errors included, exactly as the
-    /// sequential path would produce them.
+    /// [`GraphStore::query_batch`] across `executor`'s workers: the batch
+    /// is partitioned into one contiguous job per worker, all jobs share
+    /// one batch context (per-source closures, duplicate memo, locate
+    /// cache) through the sharded maps, and `executor` runs them. Answers
+    /// come back in input order, errors included, exactly as the one-worker
+    /// path produces them. One worker, or a batch shorter than two
+    /// queries, runs on the calling thread.
     pub fn query_batch_on(
         &self,
         queries: &[Query],
         executor: &impl BatchExecutor,
     ) -> Vec<AnswerResult> {
-        let threads = executor.max_workers().min(queries.len());
-        if threads <= 1 {
-            return self.query_batch(queries);
-        }
         self.counters.batches.fetch_add(1, Ordering::Relaxed);
-        self.counters.parallel_batches.fetch_add(1, Ordering::Relaxed);
         self.counters
             .queries
             .fetch_add(queries.len() as u64, Ordering::Relaxed);
         let ctx = BatchContext::new(queries);
+        let threads = executor.max_workers().min(queries.len());
+        if threads <= 1 {
+            return self.answer_chunk(queries, &ctx, &mut Scratch::default());
+        }
+        self.counters.parallel_batches.fetch_add(1, Ordering::Relaxed);
         let chunk_len = queries.len().div_ceil(threads);
         // One pre-sized slot per query: each job fills a disjoint chunk, so
         // answers land in input order without a post-hoc reorder.
@@ -637,16 +619,17 @@ impl GraphStore {
     ) -> Vec<AnswerResult> {
         let mut out = Vec::with_capacity(queries.len());
         for q in queries {
-            let answer = if ctx.plan.has_duplicates() && ctx.plan.duplicates.contains(q) {
-                match ctx.memo.get(&q) {
+            let answer = if is_shared(&ctx.plan.duplicates, &q) {
+                let memo = &ctx.maps().memo;
+                match memo.get(&q) {
                     Some(hit) => hit,
                     None => {
-                        let computed = self.answer(q, Some(ctx), scratch);
-                        ctx.memo.insert_if_absent(q, computed)
+                        let computed = self.answer(q, ctx, scratch);
+                        memo.insert_if_absent(q, computed)
                     }
                 }
             } else {
-                self.answer(q, Some(ctx), scratch)
+                self.answer(q, ctx, scratch)
             };
             if answer.is_err() {
                 self.counters.errors.fetch_add(1, Ordering::Relaxed);
@@ -656,120 +639,20 @@ impl GraphStore {
         out
     }
 
-    /// Shared worker for every query entry point: dispatch to the engine.
-    /// The grammar engine gets the full per-batch sharing treatment; other
-    /// backends answer through the trait (still covered by the duplicate
-    /// memo in [`GraphStore::answer_chunk`] and the aggregate memoization).
+    /// Shared worker for every query entry point: the whole-graph
+    /// aggregates come from the store's memo, everything else from the
+    /// engine.
     fn answer<'q>(
         &self,
         q: &'q Query,
-        ctx: Option<&BatchContext<'q>>,
-        scratch: &mut Scratch,
-    ) -> AnswerResult {
-        match &self.engine {
-            EngineSlot::Grammar(ge) => self.answer_grammar(ge, q, ctx, scratch),
-            EngineSlot::External(e) => self.answer_external(&**e, q),
-        }
-    }
-
-    /// Trait-dispatch evaluation for the non-grammar backends.
-    fn answer_external(&self, e: &dyn QueryEngine, q: &Query) -> AnswerResult {
-        Ok(Arc::new(match q {
-            Query::OutNeighbors(v) => QueryAnswer::Nodes(e.out_neighbors(*v)?),
-            Query::InNeighbors(v) => QueryAnswer::Nodes(e.in_neighbors(*v)?),
-            Query::Neighbors(v) => QueryAnswer::Nodes(e.neighbors(*v)?),
-            Query::Reach { s, t } => QueryAnswer::Bool(e.reachable(*s, *t)?),
-            Query::Rpq { s, t, pattern } => QueryAnswer::Bool(e.rpq(pattern, *s, *t)?),
-            Query::Components => QueryAnswer::Count(self.components()),
-            Query::DegreeExtrema => QueryAnswer::Extrema(self.degree_extrema()),
-        }))
-    }
-
-    /// Grammar-engine evaluation with the per-batch sharing levers. `ctx`
-    /// carries the per-batch reuse (absent for single queries); `scratch`
-    /// the per-worker buffers. Each sharing lever engages only for keys the
-    /// batch plan marked as actually shared.
-    fn answer_grammar<'q>(
-        &self,
-        ge: &GrammarEngine,
-        q: &'q Query,
-        ctx: Option<&BatchContext<'q>>,
+        ctx: &BatchContext<'q>,
         scratch: &mut Scratch,
     ) -> AnswerResult {
         Ok(Arc::new(match q {
-            Query::OutNeighbors(v) => {
-                let repr = Self::locate_for(ge, *v, ctx)?;
-                QueryAnswer::Nodes(ge.collect_neighbors(&repr, Direction::Out, scratch)?)
-            }
-            Query::InNeighbors(v) => {
-                let repr = Self::locate_for(ge, *v, ctx)?;
-                QueryAnswer::Nodes(ge.collect_neighbors(&repr, Direction::In, scratch)?)
-            }
-            Query::Neighbors(v) => {
-                let repr = Self::locate_for(ge, *v, ctx)?;
-                let mut out = ge.collect_neighbors(&repr, Direction::Out, scratch)?;
-                out.extend(ge.collect_neighbors(&repr, Direction::In, scratch)?);
-                out.sort_unstable();
-                out.dedup();
-                QueryAnswer::Nodes(out)
-            }
-            Query::Reach { s, t } if s == t => {
-                // Trivially true for valid ids — skip the forward closure.
-                QueryAnswer::Bool(ge.reach.try_reachable(*s, *t)?)
-            }
-            Query::Reach { s, t } => {
-                let shared = ctx
-                    .filter(|c| !c.plan.shared_reach.is_empty() && c.plan.shared_reach.contains(s));
-                let Some(ctx) = shared else {
-                    return Ok(Arc::new(QueryAnswer::Bool(ge.reach.try_reachable(*s, *t)?)));
-                };
-                let src = match ctx.reach_sources.get(s) {
-                    Some(hit) => hit,
-                    None => ctx
-                        .reach_sources
-                        .insert_if_absent(*s, ge.reach.try_source(*s).map(Arc::new)),
-                };
-                QueryAnswer::Bool(ge.reach.try_reachable_from(&*src?, *t)?)
-            }
-            Query::Rpq { s, t, pattern } => {
-                let plan = ge.plan(pattern)?;
-                let key = (pattern.as_str(), *s);
-                let shared = ctx
-                    .filter(|c| !c.plan.shared_rpq.is_empty() && c.plan.shared_rpq.contains(&key));
-                let Some(ctx) = shared else {
-                    return Ok(Arc::new(QueryAnswer::Bool(plan.try_matches(*s, *t)?)));
-                };
-                let src = match ctx.rpq_sources.get(&key) {
-                    Some(hit) => hit,
-                    None => ctx
-                        .rpq_sources
-                        .insert_if_absent(key, plan.try_source(*s).map(Arc::new)),
-                };
-                QueryAnswer::Bool(plan.try_matches_from(&*src?, *t)?)
-            }
             Query::Components => QueryAnswer::Count(self.components()),
             Query::DegreeExtrema => QueryAnswer::Extrema(self.degree_extrema()),
+            q => self.engine.answer(q, ctx, scratch)?,
         }))
-    }
-
-    /// Resolve the G-representation of `k`, through the per-batch locate
-    /// cache when the plan says ≥ 2 neighbor queries name this node.
-    fn locate_for(
-        ge: &GrammarEngine,
-        k: u64,
-        ctx: Option<&BatchContext<'_>>,
-    ) -> Result<Arc<GRepr>, QueryError> {
-        if let Some(ctx) =
-            ctx.filter(|c| !c.plan.shared_nodes.is_empty() && c.plan.shared_nodes.contains(&k))
-        {
-            return match ctx.locates.get(&k) {
-                Some(hit) => hit,
-                None => ctx
-                    .locates
-                    .insert_if_absent(k, ge.index.try_locate(k).map(Arc::new)),
-            };
-        }
-        ge.index.try_locate(k).map(Arc::new)
     }
 }
 
@@ -779,6 +662,7 @@ mod tests {
     use crate::backend::codec_for;
     use grepair_core::{compress, GRePairConfig};
     use grepair_hypergraph::{EdgeLabel, Hypergraph};
+    use grepair_queries::neighbors::Direction;
     use grepair_queries::GrammarIndex;
 
     fn two_label_path(reps: u32) -> Hypergraph {
@@ -789,19 +673,29 @@ mod tests {
         .0
     }
 
-    fn store_for(reps: u32) -> (GraphStore, Hypergraph) {
-        let g = two_label_path(reps);
-        let out = compress(&g, &GRePairConfig::default());
+    /// A grammar-backed store, with the grammar it decoded.
+    fn store_for(reps: u32) -> (GraphStore, Grammar) {
+        let out = compress(&two_label_path(reps), &GRePairConfig::default());
         let encoded = grepair_codec::encode(&out.grammar);
         let file = write_container(&encoded.bytes, encoded.bit_len);
-        (GraphStore::from_bytes(&file).unwrap(), g)
+        let grammar = backend::decode_validated_grammar(&encoded.bytes, encoded.bit_len).unwrap();
+        (GraphStore::from_bytes(&file).unwrap(), grammar)
     }
 
-    /// The grammar engine behind a grammar-backed test store.
-    fn grammar_engine(store: &GraphStore) -> &GrammarEngine {
-        match &store.engine {
-            EngineSlot::Grammar(ge) => ge,
-            EngineSlot::External(_) => panic!("test store must be grammar-backed"),
+    /// Fresh scoped threads per batch, one per worker.
+    struct Scoped(usize);
+
+    impl BatchExecutor for Scoped {
+        fn max_workers(&self) -> usize {
+            self.0
+        }
+
+        fn scope<'env>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) {
+            std::thread::scope(|s| {
+                for job in jobs {
+                    s.spawn(job);
+                }
+            });
         }
     }
 
@@ -823,8 +717,8 @@ mod tests {
 
     #[test]
     fn neighbors_match_uncached_index() {
-        let (store, _) = store_for(32);
-        let idx = GrammarIndex::new(store.grammar().unwrap());
+        let (store, grammar) = store_for(32);
+        let idx = GrammarIndex::new(&grammar);
         for k in 0..store.total_nodes() {
             assert_eq!(store.out_neighbors(k).unwrap(), idx.out_neighbors(k), "out {k}");
             assert_eq!(store.in_neighbors(k).unwrap(), idx.in_neighbors(k), "in {k}");
@@ -834,16 +728,37 @@ mod tests {
     }
 
     #[test]
+    fn neighbor_and_edge_queries_share_one_expansion_cache() {
+        // The labeled rows behind `out_edges`/`in_edges` are the rows the
+        // neighbor queries already memoized: the edge query computes no
+        // expansion of its own.
+        let (store, _) = store_for(16);
+        for v in 0..store.total_nodes() {
+            store.out_neighbors(v).unwrap();
+            store.in_neighbors(v).unwrap();
+            let misses = store.stats().expansion_cache_misses;
+            store.out_edges(v).unwrap();
+            store.in_edges(v).unwrap();
+            assert_eq!(store.stats().expansion_cache_misses, misses, "node {v}");
+        }
+        assert!(store.stats().expansion_cache_misses > 0, "the grammar must have rules");
+    }
+
+    #[test]
     fn cached_expansion_matches_reference() {
-        let (store, _) = store_for(24);
-        let ge = grammar_engine(&store);
-        let idx = GrammarIndex::new(store.grammar().unwrap());
-        for nt in 0..store.grammar().unwrap().num_nonterminals() as u32 {
-            let rank = store.grammar().unwrap().nt_rank(nt);
-            for pos in 0..rank as u32 {
+        let (_, grammar) = store_for(24);
+        let idx = GrammarIndex::new(&grammar);
+        let ge = GrammarEngine::new(Arc::new(grammar.clone()));
+        for nt in 0..grammar.num_nonterminals() as u32 {
+            for pos in 0..grammar.nt_rank(nt) as u32 {
                 for dir in [Direction::Out, Direction::In] {
+                    let nodes: Vec<_> = ge
+                        .expansion(nt, pos, dir)
+                        .iter()
+                        .map(|(path, _, node)| (path.clone(), *node))
+                        .collect();
                     assert_eq!(
-                        *ge.expansion(nt, pos, dir),
+                        nodes,
                         idx.rule_expansion(nt, pos as usize, dir),
                         "nt {nt} pos {pos} {dir:?}"
                     );
@@ -874,7 +789,7 @@ mod tests {
 
     #[test]
     fn batch_answers_match_individual() {
-        let (store, g) = store_for(16);
+        let (store, grammar) = store_for(16);
         let n = store.total_nodes();
         let mut queries = Vec::new();
         for i in 0..n {
@@ -892,10 +807,9 @@ mod tests {
             assert_eq!(a, &store.query(q), "{q:?}");
         }
         // Cross-check a few against the derived graph.
-        let derived = store.grammar().unwrap().derive();
+        let derived = grammar.derive();
         assert_eq!(derived.num_nodes() as u64, n);
         assert_eq!(store.components(), 1);
-        let _ = g;
     }
 
     #[test]
@@ -909,7 +823,7 @@ mod tests {
         }
         let sequential = store.query_batch(&queries);
         for threads in [2, 3, 8] {
-            let parallel = store.query_batch_parallel(&queries, threads);
+            let parallel = store.query_batch_on(&queries, &Scoped(threads));
             assert_eq!(parallel.len(), sequential.len());
             for (i, (p, s)) in parallel.iter().zip(&sequential).enumerate() {
                 assert_eq!(p, s, "answer {i} with {threads} threads: {:?}", queries[i]);
@@ -923,11 +837,11 @@ mod tests {
     #[test]
     fn parallel_batch_degenerate_inputs() {
         let (store, _) = store_for(4);
-        assert!(store.query_batch_parallel(&[], 8).is_empty());
-        let one = store.query_batch_parallel(&[Query::Components], 8);
+        assert!(store.query_batch_on(&[], &Scoped(8)).is_empty());
+        let one = store.query_batch_on(&[Query::Components], &Scoped(8));
         assert_eq!(one.len(), 1);
         // threads = 0 falls back to the sequential path.
-        let zero = store.query_batch_parallel(&[Query::Components], 0);
+        let zero = store.query_batch_on(&[Query::Components], &Scoped(0));
         assert_eq!(zero, one);
         assert_eq!(store.stats().parallel_batches, 0);
     }
@@ -999,16 +913,16 @@ mod tests {
 
     #[test]
     fn expansion_hits_are_arc_clones() {
-        let (store, _) = store_for(16);
-        let ge = grammar_engine(&store);
+        let (_, grammar) = store_for(16);
+        let ge = GrammarEngine::new(Arc::new(grammar));
         // Warm the cache, then check a hit shares the allocation.
         let first = ge.expansion(0, 0, Direction::Out);
         let count_before = Arc::strong_count(&first);
         let second = ge.expansion(0, 0, Direction::Out);
         assert!(Arc::ptr_eq(&first, &second), "hit must be the cached allocation");
         assert_eq!(Arc::strong_count(&first), count_before + 1);
-        let s = store.stats();
-        assert!(s.expansion_cache_hits >= 1, "{s}");
+        let s = ge.cache_stats();
+        assert!(s.expansion_hits >= 1, "{s:?}");
     }
 
     #[test]
@@ -1095,7 +1009,6 @@ mod tests {
             let store = backend_store(backend, 20);
             assert_eq!(store.backend(), backend);
             assert_eq!(store.total_nodes(), 20, "{backend}");
-            assert_eq!(store.grammar().is_some(), backend == "grepair");
             let stats = store.stats();
             assert_eq!(stats.backend, backend);
             assert!(stats.to_string().ends_with(&format!("backend={backend}")));
@@ -1185,7 +1098,7 @@ mod tests {
             }
             queries[11] = Query::InNeighbors(n + 11);
             let sequential = store.query_batch(&queries);
-            let parallel = store.query_batch_parallel(&queries, 4);
+            let parallel = store.query_batch_on(&queries, &Scoped(4));
             assert_eq!(parallel, sequential, "{backend}");
         }
     }

@@ -1,6 +1,6 @@
 //! Property test: the three ways to ask a `GraphStore` something — one-shot
 //! [`GraphStore::query`], sequential [`GraphStore::query_batch`], and the
-//! fanned-out [`GraphStore::query_batch_parallel`] — must agree on every
+//! fanned-out [`GraphStore::query_batch_on`] — must agree on every
 //! workload, answer for answer, in input order, error cases included.
 //!
 //! This is the contract that makes the concurrent engine safe to ship: none
@@ -13,7 +13,24 @@ use std::sync::Arc;
 
 use grepair_core::{compress, GRePairConfig};
 use grepair_hypergraph::Hypergraph;
-use grepair_store::{write_container, GraphStore, Query};
+use grepair_store::{write_container, BatchExecutor, GraphStore, Query};
+
+/// Fresh scoped threads per batch, one per worker.
+struct Scoped(usize);
+
+impl BatchExecutor for Scoped {
+    fn max_workers(&self) -> usize {
+        self.0
+    }
+
+    fn scope<'env>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) {
+        std::thread::scope(|s| {
+            for job in jobs {
+                s.spawn(job);
+            }
+        });
+    }
+}
 
 /// One store reused across all cases (the store is immutable under queries;
 /// building it per case would dominate the test's runtime).
@@ -89,7 +106,7 @@ proptest! {
         let store = shared_store();
         let sequential = store.query_batch(&workload);
         prop_assert_eq!(sequential.len(), workload.len());
-        let parallel = store.query_batch_parallel(&workload, threads);
+        let parallel = store.query_batch_on(&workload, &Scoped(threads));
         prop_assert_eq!(parallel.len(), workload.len());
         for (i, q) in workload.iter().enumerate() {
             let one_shot = store.query(q);

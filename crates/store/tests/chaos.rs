@@ -26,22 +26,22 @@ use grepair_store::{
     BREAKER_THRESHOLD, COLD_OPEN_ATTEMPTS,
 };
 use grepair_util::fail;
+use grepair_util::tmp::TempPath;
 
 const NAMES: [&str; 3] = ["alpha", "beta", "gamma"];
 const SIZES: [u32; 3] = [8, 12, 16];
 
 struct Fixture {
-    paths: Vec<String>,
+    paths: Vec<TempPath>,
     twins: Vec<GraphStore>,
 }
 
 fn fixture() -> &'static Fixture {
     static FIXTURE: OnceLock<Fixture> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let dir = std::env::temp_dir();
         let mut paths = Vec::new();
         let mut twins = Vec::new();
-        for (i, &reps) in SIZES.iter().enumerate() {
+        for &reps in &SIZES {
             let (g, _) = Hypergraph::from_simple_edges(
                 (2 * reps + 1) as usize,
                 (0..reps).flat_map(|k| [(2 * k, 0u32, 2 * k + 1), (2 * k + 1, 1u32, 2 * k + 2)]),
@@ -49,9 +49,9 @@ fn fixture() -> &'static Fixture {
             let out = compress(&g, &GRePairConfig::default());
             let enc = grepair_codec::encode(&out.grammar);
             let bytes = write_container(&enc.bytes, enc.bit_len);
-            let path = dir.join(format!("grepair_chaos_{}_{i}.g2g", std::process::id()));
+            let path = TempPath::new("grepair_chaos", ".g2g");
             std::fs::write(&path, &bytes).expect("write fixture container");
-            paths.push(path.display().to_string());
+            paths.push(path);
             twins.push(GraphStore::from_bytes(&bytes).expect("twin opens"));
         }
         Fixture { paths, twins }
@@ -90,7 +90,7 @@ fn chaotic_registry(budget: Option<u64>) -> StoreRegistry {
         GraphStore::from_bytes(&std::fs::read(&f.paths[0]).unwrap()).unwrap(),
     );
     for (name, path) in NAMES.iter().zip(&f.paths) {
-        registry.attach_cold(name, path).expect("cold attach");
+        registry.attach_cold(name, path.as_str()).expect("cold attach");
     }
     registry.set_budget(budget);
     registry

@@ -22,6 +22,7 @@ use proptest::prelude::*;
 use grepair_core::{compress, GRePairConfig};
 use grepair_hypergraph::Hypergraph;
 use grepair_store::{write_container, GraphStore, Query, StoreRegistry};
+use grepair_util::tmp::TempPath;
 
 /// The tenant pool: four names over three distinct containers.
 const NAMES: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
@@ -29,7 +30,7 @@ const SIZES: [u32; 3] = [8, 12, 16];
 
 struct Fixture {
     /// Container paths, one per entry of `SIZES`.
-    paths: Vec<String>,
+    paths: Vec<TempPath>,
     /// Never-evicted twin stores, one per container.
     twins: Vec<GraphStore>,
     /// Container file sizes in bytes.
@@ -39,11 +40,10 @@ struct Fixture {
 fn fixture() -> &'static Fixture {
     static FIXTURE: OnceLock<Fixture> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let dir = std::env::temp_dir();
         let mut paths = Vec::new();
         let mut twins = Vec::new();
         let mut bytes = Vec::new();
-        for (i, &reps) in SIZES.iter().enumerate() {
+        for &reps in &SIZES {
             let (g, _) = Hypergraph::from_simple_edges(
                 (2 * reps + 1) as usize,
                 (0..reps).flat_map(|k| [(2 * k, 0u32, 2 * k + 1), (2 * k + 1, 1u32, 2 * k + 2)]),
@@ -51,11 +51,11 @@ fn fixture() -> &'static Fixture {
             let out = compress(&g, &GRePairConfig::default());
             let enc = grepair_codec::encode(&out.grammar);
             let file = write_container(&enc.bytes, enc.bit_len);
-            let path = dir.join(format!("grepair_evict_prop_{}_{i}.g2g", std::process::id()));
+            let path = TempPath::new("grepair_evict_prop", ".g2g");
             std::fs::write(&path, &file).unwrap();
             bytes.push(file.len() as u64);
             twins.push(GraphStore::from_bytes(&file).unwrap());
-            paths.push(path.to_string_lossy().into_owned());
+            paths.push(path);
         }
         Fixture { paths, twins, bytes }
     })
@@ -118,7 +118,7 @@ proptest! {
                 Op::Attach { name, file } => {
                     let name = NAMES[name];
                     let taken = model.contains_key(name);
-                    let result = registry.attach(name, &fx.paths[file]);
+                    let result = registry.attach(name, fx.paths[file].as_str());
                     if taken {
                         prop_assert!(result.is_err(), "step {step}: duplicate attach must fail");
                     } else {
@@ -130,7 +130,7 @@ proptest! {
                 Op::AttachCold { name, file } => {
                     let name = NAMES[name];
                     let taken = model.contains_key(name);
-                    let result = registry.attach_cold(name, &fx.paths[file]);
+                    let result = registry.attach_cold(name, fx.paths[file].as_str());
                     if taken {
                         prop_assert!(result.is_err());
                     } else {

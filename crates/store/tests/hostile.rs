@@ -7,7 +7,24 @@
 
 use grepair_core::{compress, GRePairConfig};
 use grepair_hypergraph::Hypergraph;
-use grepair_store::{codecs, write_container, GraphStore, Query};
+use grepair_store::{codecs, write_container, BatchExecutor, GraphStore, Query};
+
+/// Fresh scoped threads per batch, one per worker.
+struct Scoped(usize);
+
+impl BatchExecutor for Scoped {
+    fn max_workers(&self) -> usize {
+        self.0
+    }
+
+    fn scope<'env>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) {
+        std::thread::scope(|s| {
+            for job in jobs {
+                s.spawn(job);
+            }
+        });
+    }
+}
 
 /// A real compressed container to corrupt.
 fn good_container() -> Vec<u8> {
@@ -149,7 +166,7 @@ fn hostile_query_inputs_error_for_every_backend() {
             .collect();
         let answers = store.query_batch(&queries);
         assert!(answers.iter().all(|a| a.is_ok()), "{name}");
-        assert_eq!(store.query_batch_parallel(&queries, 4), answers, "{name}");
+        assert_eq!(store.query_batch_on(&queries, &Scoped(4)), answers, "{name}");
     }
 }
 
@@ -203,7 +220,7 @@ fn ten_thousand_mixed_queries_from_one_store() {
     assert_eq!(stats.rpq_plan_misses, 2, "{stats}");
     // The same 10k through the concurrent engine: identical answers, and
     // the worker fan-out keeps the counters exact.
-    let parallel = store.query_batch_parallel(&queries, 8);
+    let parallel = store.query_batch_on(&queries, &Scoped(8));
     assert_eq!(parallel, answers);
     let stats = store.stats();
     assert_eq!(stats.queries_served, 21_000, "{stats}");

@@ -13,5 +13,6 @@ pub mod fail;
 pub mod fmt;
 pub mod fxhash;
 pub mod sync;
+pub mod tmp;
 
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
